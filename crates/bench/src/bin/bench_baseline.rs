@@ -8,8 +8,9 @@
 //! [`WorkerPool`] — no per-round thread spawns), the end-to-end coloring
 //! pipeline through the unified [`Session`] API, a skewed-degree
 //! (Chung–Lu power-law) fold workload, and a **hub-skew** section
-//! measuring per-shard entry-mass imbalance on a one-hub star instance
-//! under row-granular vs intra-row segmented shard plans — all on
+//! comparing per-shard entry-mass imbalance on a one-hub star instance
+//! under row-granular vs intra-row segmented shard plans, and timing the
+//! segmented fold serial vs parallel — all on
 //! `n ≥ 50_000` instances, all addressed by [`WorkloadSpec`] strings (or
 //! explicit hub specs) and emitted through the shared `cgc-bench/v1`
 //! JSON schema.
@@ -112,10 +113,10 @@ fn time_folds(
     )
 }
 
-/// Times warm monoid-fold rounds through the segmentation-capable path
-/// ([`ClusterNet::neighbor_fold_into_merging`] — segmented when the net
-/// holds a [`SegmentedPlan`], row-granular otherwise); returns
-/// `(ms_per_round, outputs, meter_report)` for identity checks.
+/// Times warm monoid-fold rounds through the segmented path
+/// ([`ClusterNet::neighbor_fold_into_merging`], which runs on the net's
+/// [`SegmentedPlan`]); returns `(ms_per_round, outputs, meter_report)`
+/// for identity checks.
 fn time_hub_folds(
     h: &ClusterGraph,
     par: ParallelConfig,
@@ -401,20 +402,16 @@ fn main() {
     let star_queries: Vec<u64> = (0..star_g.n_vertices() as u64).collect();
     let (hub_seq_ms, hub_out, hub_report) =
         time_hub_folds(&star_g, ParallelConfig::serial(), &star_queries);
-    let row_par = ParallelConfig::with_threads(best_threads).with_segment_threshold(u16::MAX);
-    let (hub_row_ms, hub_row_out, hub_row_report) = time_hub_folds(&star_g, row_par, &star_queries);
-    let seg_par = ParallelConfig::with_threads(best_threads).with_segment_threshold(0);
-    let (hub_seg_ms, hub_seg_out, hub_seg_report) = time_hub_folds(&star_g, seg_par, &star_queries);
-    assert_eq!(hub_row_out, hub_out, "row-granular hub fold diverged");
-    assert_eq!(hub_seg_out, hub_out, "segmented hub fold diverged");
-    assert_eq!(
-        hub_row_report, hub_report,
-        "row-granular hub meter diverged"
+    let (hub_par_ms, hub_par_out, hub_par_report) = time_hub_folds(
+        &star_g,
+        ParallelConfig::with_threads(best_threads),
+        &star_queries,
     );
-    assert_eq!(hub_seg_report, hub_report, "segmented hub meter diverged");
+    assert_eq!(hub_par_out, hub_out, "segmented hub fold diverged");
+    assert_eq!(hub_par_report, hub_report, "segmented hub meter diverged");
     eprintln!(
         "hub skew (star n={n}): entry-mass max/mean @{hub_shards} shards {row_ratio:.3} -> {seg_ratio:.3}; \
-         fold seq {hub_seq_ms:.4} / row {hub_row_ms:.4} / seg {hub_seg_ms:.4} ms/round"
+         fold seq {hub_seq_ms:.4} / par {hub_par_ms:.4} ms/round"
     );
     drop(star_g);
 
@@ -519,8 +516,7 @@ fn main() {
                     ("segmented_max_over_mean", Json::from(seg_ratio)),
                     ("segmented_below_1_5", Json::from(true)),
                     ("sequential_ms_per_round", Json::from(hub_seq_ms)),
-                    ("row_granular_ms_per_round", Json::from(hub_row_ms)),
-                    ("segmented_ms_per_round", Json::from(hub_seg_ms)),
+                    ("parallel_ms_per_round", Json::from(hub_par_ms)),
                     ("parallel_threads", Json::from(best_threads)),
                     ("bit_identical_to_sequential", Json::from(true)),
                 ]),

@@ -33,21 +33,23 @@
 //!
 //! # Parallel execution
 //!
-//! The aggregation primitives shard the vertex set across worker threads
+//! The aggregation primitives shard their work across worker threads
 //! when the runtime carries a [`ParallelConfig`] with `threads > 1`
-//! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Each
-//! shard computes the fold for its own contiguous vertex range into a
-//! disjoint slice of the output buffer, walking the vertex's CSR row in
-//! ascending neighbor order — the *same* contribution order the sequential
-//! sweep applies — and every [`CostMeter`] charge happens once, on the
-//! calling thread, before the compute. Results and cost totals are
+//! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Monoid
+//! folds and collects run on a [`SegmentedPlan`], which may cut inside a
+//! hub's CSR row and merges the row's fragments in ascending order; other
+//! folds give each shard a contiguous vertex range ([`ShardPlan`]). Either
+//! way every vertex's contributions arrive in ascending neighbor order —
+//! the *same* order the sequential sweep applies — and every
+//! [`CostMeter`] charge happens once, on the calling thread, before the
+//! compute. Results and cost totals are
 //! therefore **bit-identical at any thread count**; the `Fn` (not `FnMut`)
 //! bounds on the edge/init/fold closures enforce the purity this needs.
 
 use crate::graph::{ClusterGraph, VertexId};
 use crate::par::{
-    fill_segmented_with_offsets, fill_sharded, fill_sharded_with_offsets, fold_rows_segmented,
-    for_each_shard, ParallelConfig, SegmentedPlan, SendPtr, ShardPlan, WorkerPool,
+    fill_segmented_with_offsets, fill_sharded, fold_rows_segmented, for_each_shard, ParallelConfig,
+    SegmentedPlan, SendPtr, ShardPlan, WorkerPool,
 };
 use cgc_net::CostMeter;
 use std::sync::Arc;
@@ -126,12 +128,10 @@ pub struct ClusterNet<'a> {
     scratch: RoundScratch,
     par: ParallelConfig,
     plan: ShardPlan,
-    /// The intra-row segmented plan, present only when the topology has a
-    /// hub row heavier than the config's segmentation threshold (see
-    /// [`SegmentedPlan::plan_csr`]). The monoid fold wrappers and
-    /// `neighbor_collect` route through it when present, so one power-law
-    /// hub no longer serializes a whole shard.
-    seg: Option<SegmentedPlan>,
+    /// The intra-row segmented plan the monoid fold wrappers and
+    /// `neighbor_collect` always run on, so one power-law hub never
+    /// serializes a whole shard (one segment under the serial config).
+    seg: SegmentedPlan,
     /// Even per-vertex plan for the O(1)-per-vertex primitives
     /// (`exact_degrees`), where entry mass is the wrong balance measure.
     even_plan: ShardPlan,
@@ -233,11 +233,11 @@ impl<'a> ClusterNet<'a> {
         &self.plan
     }
 
-    /// The active intra-row segmented plan, when the topology's hub rows
-    /// triggered segmentation (see [`SegmentedPlan::plan_csr`]).
+    /// The active intra-row segmented plan (see
+    /// [`ClusterGraph::segmented_plan`]).
     #[inline]
-    pub fn segmented_plan(&self) -> Option<&SegmentedPlan> {
-        self.seg.as_ref()
+    pub fn segmented_plan(&self) -> &SegmentedPlan {
+        &self.seg
     }
 
     /// `ceil(log2(x + 1))` — bits to address one of `x` values.
@@ -435,13 +435,12 @@ impl<'a> ClusterNet<'a> {
     /// [`Self::neighbor_fold_into`] for **monoid** folds — `init` is the
     /// combine identity and `merge` continues a fold split at any point
     /// (`merge(a, fold(init(v), es)) == fold(a, es)`). That extra law is
-    /// what lets the round route through the runtime's [`SegmentedPlan`]
-    /// when the topology has a hub row: each segment folds its fragments
-    /// of the row independently, and the fragments merge in ascending
-    /// segment order, so outputs and meter charges are bit-identical to
-    /// the serial walk while no shard carries more than its entry share.
-    /// Without a segmented plan (balanced topologies, serial configs) this
-    /// is exactly `neighbor_fold_into`.
+    /// what lets the round run on the runtime's [`SegmentedPlan`]: each
+    /// segment folds its fragments of a row independently, and the
+    /// fragments merge in ascending segment order, so outputs and meter
+    /// charges are bit-identical to the serial walk while no shard carries
+    /// more than its entry share, hub row or not. Under the serial config
+    /// the plan has one segment and the round is one CSR row walk.
     ///
     /// The typed wrappers ([`Self::neighbor_fold_flags`] and friends) all
     /// route through here — their folds are monoids (OR, +, |) — so the
@@ -463,10 +462,6 @@ impl<'a> ClusterNet<'a> {
         merge: impl FnMut(&mut R, R),
         out: &mut Vec<R>,
     ) {
-        if self.seg.is_none() {
-            self.neighbor_fold_into(query_bits, response_bits, queries, edge, init, fold, out);
-            return;
-        }
         assert_eq!(
             queries.len(),
             self.g.n_vertices(),
@@ -475,11 +470,10 @@ impl<'a> ClusterNet<'a> {
         self.charge_broadcast(query_bits);
         self.charge_link_round(query_bits);
         self.charge_converge(response_bits);
-        let seg = self.seg.as_ref().expect("checked above");
         let (offsets, adj) = self.g.adjacency_csr();
         fold_rows_segmented(
             out,
-            seg,
+            &self.seg,
             self.pool.as_deref(),
             offsets,
             init,
@@ -593,10 +587,10 @@ impl<'a> ClusterNet<'a> {
     /// [`Self::neighbor_collect`] into a reusable [`NeighborLists`]:
     /// offsets and arena are cleared and refilled in place, so a warm
     /// buffer makes the round allocation-free under the sequential config
-    /// (modulo `Q::clone`). The arena fill is sharded over the runtime's
-    /// [`ShardPlan`]: shard `s` writes the CSR entries of its own vertex
-    /// rows, a disjoint arena slice, so the filled buffer is bit-identical
-    /// to the sequential sweep at any thread count.
+    /// (modulo `Q::clone`). The arena fill runs on the runtime's
+    /// [`SegmentedPlan`]: segment `s` writes its own entry range of the
+    /// arena, a disjoint slice, so the filled buffer is bit-identical to
+    /// the sequential sweep at any thread count.
     ///
     /// # Panics
     ///
@@ -618,42 +612,19 @@ impl<'a> ClusterNet<'a> {
         self.charge_converge(query_bits.saturating_mul(max_deg.max(1)));
 
         let (offsets, adj) = self.g.adjacency_csr();
-        // Offsets copy and arena fill are sharded together in one scope:
-        // shard `s` copies its own vertices' row starts and fills its own
-        // rows' entries — the last O(n) sequential passes of the warm
-        // round, removed without an extra spawn cycle. Entry `e` of the
-        // output arena is a pure function of adjacency slot `e`, so when a
-        // hub row triggered segmentation its entries can be written by
-        // several segments, bit-identically to the row-granular fill.
-        if let Some(seg) = &self.seg {
-            fill_segmented_with_offsets(
-                &mut out.offsets,
-                &mut out.data,
-                seg,
-                self.pool.as_deref(),
-                offsets,
-                |es: std::ops::Range<usize>, slot: &mut [std::mem::MaybeUninit<_>]| {
-                    for (i, cell) in slot.iter_mut().enumerate() {
-                        let u = adj[es.start + i];
-                        cell.write((u, queries[u].clone()));
-                    }
-                },
-            );
-            return;
-        }
-        fill_sharded_with_offsets(
+        // Offsets copy and arena fill share one dispatch. Entry `e` of the
+        // output arena is a pure function of adjacency slot `e`, so a row
+        // split across segments is written bit-identically to a serial
+        // fill.
+        fill_segmented_with_offsets(
             &mut out.offsets,
             &mut out.data,
-            &self.plan,
+            &self.seg,
             self.pool.as_deref(),
             offsets,
-            {
-                |range: std::ops::Range<usize>, slot: &mut [std::mem::MaybeUninit<_>]| {
-                    let base = offsets[range.start];
-                    for (i, cell) in slot.iter_mut().enumerate() {
-                        let u = adj[base + i];
-                        cell.write((u, queries[u].clone()));
-                    }
+            |es: std::ops::Range<usize>, slot: &mut [std::mem::MaybeUninit<_>]| {
+                for (cell, &u) in slot.iter_mut().zip(&adj[es]) {
+                    cell.write((u, queries[u].clone()));
                 }
             },
         );

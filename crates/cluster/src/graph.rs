@@ -328,80 +328,60 @@ impl ClusterGraph {
         }
         // CSR rows are sorted because the edge table is sorted for the `u`
         // side; the `v` side needs a sort. A fully sorted row is unique,
-        // making the result independent of the split. With a hub row
-        // heavier than the segmentation threshold, the row's *fragments*
-        // sort in parallel under a `SegmentedPlan` and a serial pass merges
-        // each split row's sorted runs in ascending segment order;
-        // otherwise rows are disjoint slices sharded by row mass.
-        match SegmentedPlan::plan_csr(&h_offsets, par) {
-            Some(seg) => {
-                {
-                    let base = SendPtr::new(h_adj.as_mut_ptr());
-                    let h_offsets = &h_offsets;
-                    let seg = &seg;
-                    for_each_shard(pool, seg.n_segments(), &|s| {
-                        let (r0, e0) = seg.cut(s);
-                        let (_, e1) = seg.cut(s + 1);
-                        let mut r = r0;
-                        let mut lo = e0;
-                        while lo < e1 {
-                            let hi = h_offsets[r + 1].min(e1);
-                            if hi > lo {
-                                // SAFETY: segment entry ranges are disjoint
-                                // sub-slices of `h_adj`.
-                                let frag = unsafe {
-                                    std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo)
-                                };
-                                frag.sort_unstable();
-                            }
-                            lo = h_offsets[r + 1];
-                            r += 1;
-                        }
-                    });
-                }
-                // Merge each split row's sorted fragments (distinct
-                // neighbor ids, so the merged row equals the full sort).
-                let mut scratch: Vec<VertexId> = Vec::new();
-                let mut bounds: Vec<usize> = Vec::new();
-                let segs = seg.n_segments();
-                let mut s = 1;
-                while s < segs {
-                    let (r, e) = seg.cut(s);
-                    if e <= h_offsets[r] {
-                        s += 1;
-                        continue;
-                    }
-                    let (lo, hi) = (h_offsets[r], h_offsets[r + 1]);
-                    bounds.clear();
-                    bounds.push(0);
-                    while s < segs {
-                        let (r2, e2) = seg.cut(s);
-                        if r2 == r && e2 > lo {
-                            bounds.push(e2 - lo);
-                            s += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    bounds.push(hi - lo);
-                    merge_sorted_runs(&mut h_adj[lo..hi], &bounds, &mut scratch);
-                }
-            }
-            None => {
-                let row_plan = ShardPlan::from_prefix(&h_offsets, par.threads());
-                let base = SendPtr::new(h_adj.as_mut_ptr());
-                let h_offsets = &h_offsets;
-                for_each_shard(pool, row_plan.n_shards(), &|s| {
-                    for c in row_plan.range(s) {
-                        let (lo, hi) = (h_offsets[c], h_offsets[c + 1]);
-                        // SAFETY: rows of this shard's clusters are disjoint
+        // making the result independent of the split: each segment of a
+        // `SegmentedPlan` sorts its fragments in parallel (a hub row is
+        // split into several), and a serial pass merges each split row's
+        // sorted runs in ascending segment order.
+        let seg = SegmentedPlan::from_prefix(&h_offsets, par.threads());
+        {
+            let base = SendPtr::new(h_adj.as_mut_ptr());
+            let h_offsets = &h_offsets;
+            let seg = &seg;
+            for_each_shard(pool, seg.n_segments(), &|s| {
+                let (r0, e0) = seg.cut(s);
+                let (_, e1) = seg.cut(s + 1);
+                let mut r = r0;
+                let mut lo = e0;
+                while lo < e1 {
+                    let hi = h_offsets[r + 1].min(e1);
+                    if hi > lo {
+                        // SAFETY: segment entry ranges are disjoint
                         // sub-slices of `h_adj`.
-                        let row =
+                        let frag =
                             unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-                        row.sort_unstable();
+                        frag.sort_unstable();
                     }
-                });
+                    lo = h_offsets[r + 1];
+                    r += 1;
+                }
+            });
+        }
+        // Merge each split row's sorted fragments (distinct neighbor ids,
+        // so the merged row equals the full sort).
+        let mut scratch: Vec<VertexId> = Vec::new();
+        let mut bounds: Vec<usize> = Vec::new();
+        let segs = seg.n_segments();
+        let mut s = 1;
+        while s < segs {
+            let (r, e) = seg.cut(s);
+            if e <= h_offsets[r] {
+                s += 1;
+                continue;
             }
+            let (lo, hi) = (h_offsets[r], h_offsets[r + 1]);
+            bounds.clear();
+            bounds.push(0);
+            while s < segs {
+                let (r2, e2) = seg.cut(s);
+                if r2 == r && e2 > lo {
+                    bounds.push(e2 - lo);
+                    s += 1;
+                } else {
+                    break;
+                }
+            }
+            bounds.push(hi - lo);
+            merge_sorted_runs(&mut h_adj[lo..hi], &bounds, &mut scratch);
         }
         let sort_secs = sort_start.elapsed().as_secs_f64();
 
@@ -1010,21 +990,20 @@ impl ClusterGraph {
         self.edges.len()
     }
 
-    /// Plans executor shards over the vertices of `H` under `cfg` —
-    /// [`ShardPlan::plan_csr`] over the deduplicated `H`-adjacency, so
-    /// `BalancedEdges` cuts by degree mass. A pure function of
+    /// Plans row-granular executor shards over the vertices of `H` under
+    /// `cfg` — [`ShardPlan::from_prefix`] over the deduplicated
+    /// `H`-adjacency, so shards balance by degree mass. A pure function of
     /// `(topology, cfg)`, reproducible across runs.
     pub fn shard_plan(&self, cfg: &ParallelConfig) -> ShardPlan {
-        ShardPlan::plan_csr(&self.h_offsets, cfg)
+        ShardPlan::from_prefix(&self.h_offsets, cfg.threads())
     }
 
     /// The intra-row [`SegmentedPlan`] over `H`'s deduplicated adjacency
-    /// under `cfg` — `Some` only when a hub row exceeds the config's
-    /// segmentation threshold, `None` when row-granular shards already
-    /// balance (see [`SegmentedPlan::plan_csr`]). Like
+    /// under `cfg`: one segment per thread of even entry mass, cutting
+    /// inside hub rows (one segment under the serial config). Like
     /// [`Self::shard_plan`], a pure function of `(topology, cfg)`.
-    pub fn segmented_plan(&self, cfg: &ParallelConfig) -> Option<SegmentedPlan> {
-        SegmentedPlan::plan_csr(&self.h_offsets, cfg)
+    pub fn segmented_plan(&self, cfg: &ParallelConfig) -> SegmentedPlan {
+        SegmentedPlan::from_prefix(&self.h_offsets, cfg.threads())
     }
 }
 

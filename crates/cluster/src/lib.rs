@@ -54,10 +54,10 @@ pub use exec::{
 pub use graph::{BuildTimings, ClusterGraph, DeltaReport, RepairStats, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
-pub use palette::{palette_sweep_waves, PaletteSweep};
+pub use palette::{palette_sweep, PaletteSweep};
 pub use par::{
     available_threads, fill_segmented_with_offsets, fold_rows_segmented, map_reduce_on,
-    map_reduce_sharded, merge_sorted_runs, run_waves, total_scoped_threads_spawned, ParallelConfig,
-    SegmentedPlan, ShardPlan, ShardStrategy, WaveSchedule, WaveStats, WorkerPool,
+    merge_sorted_runs, run_waves, total_scoped_threads_spawned, ParallelConfig, SegmentedPlan,
+    ShardPlan, WaveSchedule, WaveStats, WorkerPool,
 };
 pub use prefix::{dfs_preorder, prefix_sums, prefix_sums_into, OrderedTree};

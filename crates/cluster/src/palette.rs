@@ -1,29 +1,27 @@
-//! Wave-scheduled read-only palette sweeps.
+//! Read-only palette sweeps.
 //!
-//! The mutation paths already run through color waves
-//! ([`crate::par::run_waves`]); this module schedules the *query* side
-//! the same way: a read-only sweep that, for every vertex, answers the
-//! three palette questions at once — free-color count
-//! `|L(v)| = q − |φ(N(v))|`, uncolored degree `deg_φ(v)`, and reuse
-//! slack (colored neighbors minus distinct colors) — using the packed
-//! word kernels of [`cgc_net::bits`].
+//! One sweep answers, for every vertex, the three palette questions at
+//! once — free-color count `|L(v)| = q − |φ(N(v))|`, uncolored degree
+//! `deg_φ(v)`, and reuse slack (colored neighbors minus distinct colors)
+//! — using the packed word kernels of [`cgc_net::bits`].
+//!
+//! The sweep only reads the coloring and writes one output slot per
+//! vertex, so it needs no conflict-free schedule: it shards the vertices
+//! over the graph's row-granular [`ShardPlan`] (balanced by CSR row mass,
+//! since each vertex walks its row) and runs the shards on the persistent
+//! pool. The result is a pure function of `(graph, colors)` —
+//! bit-identical to the serial sweep at any thread count, which is what
+//! lets callers assert equality across thread sweeps.
 //!
 //! Each worker keeps a private [`BitsScratch`] in `const`-initialized
 //! thread-local storage, so a warm sweep performs **zero heap
 //! allocations and zero thread spawns** (asserted by the crate's
 //! counting-allocator suite): per vertex the scratch resets in
 //! `O(q/64)`, the CSR row walk marks neighbor colors word-wise, and the
-//! answers land in per-vertex output slots. Every vertex appears in
-//! exactly one wave of the schedule, so the writes are disjoint by
-//! construction; because the sweep never mutates the coloring, the
-//! result is a pure function of `(graph, colors)` — bit-identical to the
-//! serial sweep at any thread count, which is what lets callers assert
-//! equality across thread sweeps. The wave structure is still exercised
-//! end to end (barriers, pooled dispatch, [`WaveStats`]), making this
-//! the read-mostly counterpart of the scheduled mutation passes.
+//! answers land in per-vertex output slots.
 
 use crate::graph::ClusterGraph;
-use crate::par::{run_waves, ParallelConfig, SendPtr, WaveStats, WorkerPool};
+use crate::par::{for_each_shard, SendPtr, ShardPlan, WorkerPool};
 use cgc_net::bits::BitsScratch;
 use std::cell::RefCell;
 
@@ -64,73 +62,65 @@ impl PaletteSweep {
     }
 }
 
-/// Runs the palette/slack sweep as scheduled waves: `offsets`/`items`
-/// describe a wave partition of the vertex set (a
-/// [`crate::WaveSchedule`] CSR — every vertex in exactly one wave);
-/// within each wave the items split into contiguous shard slices over
-/// the persistent pool. `colors[v]` is the current color of `v` (the
-/// raw assignment slice). Returns the executed [`WaveStats`].
+/// Runs the palette/slack sweep over every vertex, shard `s` of `plan`
+/// (the graph's [`ClusterGraph::shard_plan`]) answering for the vertices
+/// of `plan.range(s)` on `pool`. `colors[v]` is the current color of `v`
+/// (the raw assignment slice).
 ///
 /// # Panics
 ///
-/// Panics when `colors` is not sized to the graph or a color is `>= q`
-/// (debug).
-pub fn palette_sweep_waves(
+/// Panics when `colors` or `plan` is not sized to the graph, or a color
+/// is `>= q` (debug).
+pub fn palette_sweep(
     graph: &ClusterGraph,
     colors: &[Option<usize>],
     q: usize,
-    offsets: &[usize],
-    items: &[usize],
-    parallel: &ParallelConfig,
+    plan: &ShardPlan,
+    pool: Option<&WorkerPool>,
     out: &mut PaletteSweep,
-) -> WaveStats {
+) {
     let n = graph.n_vertices();
     assert_eq!(colors.len(), n, "one color slot per vertex");
+    assert_eq!(plan.n_vertices(), n, "the plan must cover the graph");
     out.reset(n);
     let free = SendPtr::new(out.free_counts.as_mut_ptr());
     let unc = SendPtr::new(out.uncolored_degrees.as_mut_ptr());
     let reuse = SendPtr::new(out.reuse_slacks.as_mut_ptr());
-    let pool = WorkerPool::global(parallel.threads());
-    run_waves(
-        pool.as_deref(),
-        parallel.threads(),
-        offsets,
-        items,
-        &|_wave, _base, slice| {
-            SWEEP_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                for &v in slice {
-                    let bits = scratch.bits(q);
-                    let row = graph.neighbors(v);
-                    let mut colored = 0usize;
-                    for &u in row {
-                        if let Some(c) = colors[u] {
-                            colored += 1;
-                            bits.mark(c);
-                        }
-                    }
-                    let distinct = bits.count_marked();
-                    // SAFETY: each vertex appears in exactly one wave item,
-                    // and slot `v` belongs to that item alone.
-                    unsafe {
-                        *free.get().add(v) = q - distinct;
-                        *unc.get().add(v) = row.len() - colored;
-                        *reuse.get().add(v) = colored - distinct;
+    for_each_shard(pool, plan.n_shards(), &|s| {
+        SWEEP_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            for v in plan.range(s) {
+                let bits = scratch.bits(q);
+                let row = graph.neighbors(v);
+                let mut colored = 0usize;
+                for &u in row {
+                    if let Some(c) = colors[u] {
+                        colored += 1;
+                        bits.mark(c);
                     }
                 }
-            });
-        },
-    )
+                let distinct = bits.count_marked();
+                // SAFETY: `v < n` (the plan covers exactly the graph's
+                // vertices, checked above) and shard ranges are disjoint,
+                // so slot `v` is written by this shard alone.
+                unsafe {
+                    *free.get().add(v) = q - distinct;
+                    *unc.get().add(v) = row.len() - colored;
+                    *reuse.get().add(v) = colored - distinct;
+                }
+            }
+        });
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::WaveSchedule;
+    use crate::par::ParallelConfig;
     use cgc_net::CommGraph;
 
-    /// A 12-vertex instance with a greedy coloring and its wave partition.
-    fn instance() -> (ClusterGraph, Vec<Option<usize>>, usize, WaveSchedule) {
+    /// A 12-vertex instance with a greedy coloring.
+    fn instance() -> (ClusterGraph, Vec<Option<usize>>, usize) {
         let mut edges = Vec::new();
         for v in 0..12usize {
             edges.push((v, (v + 1) % 12));
@@ -145,9 +135,7 @@ mod tests {
             let used: Vec<usize> = g.neighbors(v).iter().filter_map(|&u| colors[u]).collect();
             colors[v] = Some((0..q).find(|c| !used.contains(c)).unwrap());
         }
-        let class_of: Vec<usize> = colors.iter().map(|c| c.unwrap()).collect();
-        let waves = WaveSchedule::from_class_ids(&class_of, q, &ParallelConfig::serial());
-        (g, colors, q, waves)
+        (g, colors, q)
     }
 
     fn reference(g: &ClusterGraph, colors: &[Option<usize>], q: usize) -> PaletteSweep {
@@ -176,54 +164,36 @@ mod tests {
 
     #[test]
     fn sweep_matches_bool_reference_at_any_width() {
-        let (g, colors, q, waves) = instance();
+        let (g, colors, q) = instance();
         let want = reference(&g, &colors, q);
         for threads in [1usize, 2, 4, 8] {
             let par = ParallelConfig::with_threads(threads);
+            let pool = WorkerPool::global(threads);
             let mut out = PaletteSweep::new();
-            let stats = palette_sweep_waves(
+            palette_sweep(
                 &g,
                 &colors,
                 q,
-                waves.offsets(),
-                waves.items(),
-                &par,
+                &g.shard_plan(&par),
+                pool.as_deref(),
                 &mut out,
             );
             assert_eq!(out.free_counts, want.free_counts, "threads={threads}");
             assert_eq!(out.uncolored_degrees, want.uncolored_degrees);
             assert_eq!(out.reuse_slacks, want.reuse_slacks);
-            assert_eq!(stats.items, 12);
-            assert_eq!(
-                stats.waves,
-                waves.offsets().windows(2).filter(|w| w[1] > w[0]).count()
-            );
         }
     }
 
     #[test]
     fn partial_colorings_count_uncolored_degree() {
-        let (g, mut colors, q, _) = instance();
+        let (g, mut colors, q) = instance();
         colors[3] = None;
         colors[7] = None;
-        // One wave holding every vertex is a legal schedule for a
-        // read-only sweep (writes stay per-vertex disjoint).
-        let offsets = [0usize, 12];
-        let items: Vec<usize> = (0..12).collect();
         let mut out = PaletteSweep::new();
-        let stats = palette_sweep_waves(
-            &g,
-            &colors,
-            q,
-            &offsets,
-            &items,
-            &ParallelConfig::serial(),
-            &mut out,
-        );
+        palette_sweep(&g, &colors, q, &ShardPlan::serial(12), None, &mut out);
         let want = reference(&g, &colors, q);
         assert_eq!(out.free_counts, want.free_counts);
         assert_eq!(out.uncolored_degrees, want.uncolored_degrees);
         assert_eq!(out.reuse_slacks, want.reuse_slacks);
-        assert_eq!((stats.waves, stats.largest_wave, stats.items), (1, 12, 12));
     }
 }

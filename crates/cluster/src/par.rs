@@ -9,7 +9,8 @@
 //! `cgc_cluster::…` import keeps working through this re-export.
 //!
 //! The one cluster-specific piece is planning from a built topology:
-//! [`crate::ClusterGraph::shard_plan`] wraps [`ShardPlan::plan_csr`] over
-//! the `H`-adjacency CSR.
+//! [`crate::ClusterGraph::shard_plan`] and
+//! [`crate::ClusterGraph::segmented_plan`] wrap [`ShardPlan::from_prefix`]
+//! and [`SegmentedPlan::from_prefix`] over the `H`-adjacency CSR.
 
 pub use cgc_net::par::*;

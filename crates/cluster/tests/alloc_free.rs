@@ -1,24 +1,26 @@
 //! Verifies the runtime's headline guarantees: after warm-up, the metered
 //! aggregation primitives (`neighbor_fold_into`, the typed fold wrappers,
 //! `neighbor_collect_into`, `exact_degrees_into`, `charge_full_rounds`)
-//! and the wave-scheduled palette query sweep (`palette_sweep_waves`)
+//! and the sharded palette query sweep (`palette_sweep`)
 //! perform **zero heap allocations per round** — under the sequential
 //! config *and* under a parallel config dispatching on the persistent
 //! [`WorkerPool`], where warm rounds additionally **spawn no threads**
 //! (pool workers are created once and parked between rounds).
 //!
-//! A counting global allocator tallies every allocation; each test warms
-//! the buffers once, snapshots the counter, runs many rounds, and asserts
-//! the counter did not move. Note the allocation counter alone already
+//! A counting global allocator tallies every allocation made on the test
+//! thread and on the pool's workers; each test warms the buffers once,
+//! snapshots the counter, runs many rounds, and asserts the counter did
+//! not move. Note the allocation counter alone already
 //! rules out per-round spawning (`std::thread::spawn` allocates); the
 //! pool's spawn counter pins it explicitly.
 
 use cgc_cluster::{
-    palette_sweep_waves, ClusterGraph, ClusterNet, NeighborLists, PaletteSweep, ParallelConfig,
-    WaveSchedule, WorkerPool,
+    palette_sweep, ClusterGraph, ClusterNet, NeighborLists, PaletteSweep, ParallelConfig,
+    WorkerPool,
 };
 use cgc_net::CommGraph;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -29,19 +31,44 @@ use std::sync::Mutex;
 /// fail the assert spuriously.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Takes the serializing lock and opts the calling test thread into the
+/// allocation count.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
+    let guard = SERIAL
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    COUNTED.with(|c| c.set(true));
+    guard
+}
+
+/// Opts every worker of `pool` into the allocation count (slot 0 is the
+/// calling thread).
+fn count_pool_workers(pool: Option<&WorkerPool>) {
+    let pool = pool.expect("parallel config must acquire the persistent pool");
+    pool.run(pool.max_shards(), &|_| COUNTED.with(|c| c.set(true)));
+}
+
+thread_local! {
+    /// Whether this thread's allocations are counted. Only the test thread
+    /// and the pool workers opt in: the harness's own threads spawn sibling
+    /// tests and report results while a measured window is open, and
+    /// those allocations are not the runtime's.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+fn count_allocation() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -50,7 +77,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -173,10 +200,7 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     // An explicitly parallel runtime: dispatches ride the process-global
     // persistent worker pool.
     let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(2));
-    assert!(
-        net.worker_pool().is_some(),
-        "parallel config must acquire the persistent pool"
-    );
+    count_pool_workers(net.worker_pool());
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
     let mut out: Vec<u64> = Vec::new();
     let mut degs: Vec<usize> = Vec::new();
@@ -235,14 +259,12 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
 fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
     let _serial = serial();
     let h = instance();
-    // Force intra-row segmentation (threshold 0) so the warm rounds run
-    // the segmented fold/collect paths, not the row-granular ones.
-    let par = ParallelConfig::with_threads(2).with_segment_threshold(0);
+    // Two threads give a two-segment plan, so the warm rounds run the
+    // segment-parallel fold/collect paths.
+    let par = ParallelConfig::with_threads(2);
     let mut net = ClusterNet::with_parallel(&h, 64, par);
-    assert!(
-        net.segmented_plan().is_some(),
-        "threshold 0 must force a segmented plan"
-    );
+    count_pool_workers(net.worker_pool());
+    assert_eq!(net.segmented_plan().n_segments(), 2);
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
     let mut out: Vec<u64> = Vec::new();
     let mut lists: NeighborLists<u64> = NeighborLists::new();
@@ -304,67 +326,49 @@ fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
 }
 
 #[test]
-fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
+fn palette_query_sweeps_are_allocation_free_and_spawn_no_threads() {
     let _serial = serial();
     let h = instance();
     let n = h.n_vertices();
     let q = h.max_degree() + 1;
-    // A greedy proper coloring doubles as the wave partition (every color
-    // class is an independent set, so one class per wave is legal even
-    // for mutating passes; the read-only sweep merely inherits it).
     let mut colors: Vec<Option<usize>> = vec![None; n];
     for v in 0..n {
         let used: Vec<usize> = h.neighbors(v).iter().filter_map(|&u| colors[u]).collect();
         colors[v] = Some((0..q).find(|c| !used.contains(c)).unwrap());
     }
-    let class_of: Vec<usize> = colors.iter().map(|c| c.unwrap()).collect();
-    let waves = WaveSchedule::from_class_ids(&class_of, q, &ParallelConfig::serial());
     let par = ParallelConfig::with_threads(2);
+    let plan = h.shard_plan(&par);
+    let pool = WorkerPool::global(par.threads());
+    count_pool_workers(pool.as_deref());
 
-    // Warm-up: creates/acquires the pool, sizes the output buffers, and
-    // primes each participating worker's thread-local `BitsScratch`
-    // (shard-to-worker assignment is deterministic, so the same workers
-    // serve the measured sweeps).
+    // Warm-up: acquires the pool, sizes the output buffers, and primes
+    // each participating worker's thread-local `BitsScratch` (shard-to-
+    // worker assignment is deterministic, so the same workers serve the
+    // measured sweeps).
     let mut out = PaletteSweep::new();
-    palette_sweep_waves(
-        &h,
-        &colors,
-        q,
-        waves.offsets(),
-        waves.items(),
-        &par,
-        &mut out,
-    );
+    palette_sweep(&h, &colors, q, &plan, pool.as_deref(), &mut out);
     let warm = out.clone();
 
     let spawned_before = WorkerPool::total_threads_spawned();
     let scoped_before = cgc_cluster::total_scoped_threads_spawned();
     let allocs_before = allocations();
     for _ in 0..100 {
-        palette_sweep_waves(
-            &h,
-            &colors,
-            q,
-            waves.offsets(),
-            waves.items(),
-            &par,
-            &mut out,
-        );
+        palette_sweep(&h, &colors, q, &plan, pool.as_deref(), &mut out);
     }
     assert_eq!(
         allocations() - allocs_before,
         0,
-        "warm palette-query waves must not allocate"
+        "warm palette-query sweeps must not allocate"
     );
     assert_eq!(
         WorkerPool::total_threads_spawned(),
         spawned_before,
-        "warm palette-query waves must not spawn threads"
+        "warm palette-query sweeps must not spawn threads"
     );
     assert_eq!(
         cgc_cluster::total_scoped_threads_spawned(),
         scoped_before,
-        "warm palette-query waves must not fall back to scoped-thread dispatch"
+        "warm palette-query sweeps must not fall back to scoped-thread dispatch"
     );
     assert_eq!(out.free_counts, warm.free_counts);
     assert_eq!(out.uncolored_degrees, warm.uncolored_degrees);
@@ -372,15 +376,8 @@ fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
 
     // And the pooled sweep matches the serial one bit for bit.
     let mut seq = PaletteSweep::new();
-    palette_sweep_waves(
-        &h,
-        &colors,
-        q,
-        waves.offsets(),
-        waves.items(),
-        &ParallelConfig::serial(),
-        &mut seq,
-    );
+    let serial_plan = h.shard_plan(&ParallelConfig::serial());
+    palette_sweep(&h, &colors, q, &serial_plan, None, &mut seq);
     assert_eq!(out.free_counts, seq.free_counts);
     assert_eq!(out.uncolored_degrees, seq.uncolored_degrees);
     assert_eq!(out.reuse_slacks, seq.reuse_slacks);

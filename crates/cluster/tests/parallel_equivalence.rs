@@ -1,13 +1,13 @@
 //! Differential suite for the sharded parallel executor: on random
 //! multi-link instances, every aggregation primitive run at thread counts
-//! {1, 2, 4, 8} (under both shard strategies) must produce output buffers
+//! {1, 2, 4, 8} must produce output buffers
 //! **and** `CostMeter` phase/total charges bit-identical to the sequential
 //! runtime. The fold accumulator is deliberately non-commutative, so any
 //! reordering of contributions — not just any misrouting — fails loudly.
 
 use cgc_cluster::{
     execute_broadcast_with, execute_full_round_with, ClusterGraph, ClusterNet, NeighborLists,
-    ParallelConfig, ShardStrategy, VertexId,
+    ParallelConfig, VertexId,
 };
 use cgc_net::{CommGraph, CostReport, SeedStream};
 use rand::RngExt;
@@ -105,22 +105,17 @@ fn all_primitives_bit_identical_across_thread_counts() {
         let g = random_instance(seed);
         let reference = run_battery(&g, ParallelConfig::serial());
         for threads in [1usize, 2, 4, 8] {
-            for strategy in [ShardStrategy::EvenVertices, ShardStrategy::BalancedEdges] {
-                let got = run_battery(&g, ParallelConfig::new(threads, strategy));
-                assert_eq!(
-                    got.0, reference.0,
-                    "seed {seed} threads {threads} {strategy:?}: fold diverged"
-                );
-                assert_eq!(got.1, reference.1, "seed {seed} threads {threads}: flags");
-                assert_eq!(got.2, reference.2, "seed {seed} threads {threads}: counts");
-                assert_eq!(got.3, reference.3, "seed {seed} threads {threads}: words");
-                assert_eq!(got.4, reference.4, "seed {seed} threads {threads}: collect");
-                assert_eq!(got.5, reference.5, "seed {seed} threads {threads}: degrees");
-                assert_eq!(
-                    got.6, reference.6,
-                    "seed {seed} threads {threads} {strategy:?}: CostReport diverged"
-                );
-            }
+            let got = run_battery(&g, ParallelConfig::with_threads(threads));
+            assert_eq!(got.0, reference.0, "seed {seed} threads {threads}: fold");
+            assert_eq!(got.1, reference.1, "seed {seed} threads {threads}: flags");
+            assert_eq!(got.2, reference.2, "seed {seed} threads {threads}: counts");
+            assert_eq!(got.3, reference.3, "seed {seed} threads {threads}: words");
+            assert_eq!(got.4, reference.4, "seed {seed} threads {threads}: collect");
+            assert_eq!(got.5, reference.5, "seed {seed} threads {threads}: degrees");
+            assert_eq!(
+                got.6, reference.6,
+                "seed {seed} threads {threads}: CostReport"
+            );
         }
     }
 }

@@ -85,6 +85,6 @@ pub use mutate::MutationOutcome;
 pub use palette_query::CliquePalette;
 pub use params::{Ablation, Params};
 pub use schedule::ColorSchedule;
-pub use serve::{ServeOutcome, ServerConfig, ServerStats, SessionServer};
+pub use serve::{DeltaRequestError, ServeOutcome, ServerConfig, ServerStats, SessionServer};
 pub use session::{PaletteQueryOutcome, ParamsProfile, RunOutcome, Session, SessionBuilder};
 pub use validate::{coloring_stats, ColoringStats};

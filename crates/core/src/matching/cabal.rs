@@ -18,7 +18,7 @@ use crate::coloring::{Color, Coloring};
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::SeedStream;
 use cgc_pseudo::MinWiseHash;
-use cgc_sketch::{encoded_bits, sample_geometric, Fingerprint};
+use cgc_sketch::{encoded_bits, sample_geometric};
 use rand::RngExt;
 use std::collections::BTreeMap;
 
@@ -137,7 +137,6 @@ fn fp_match_compute(
         .max()
         .unwrap_or(0)
         .max(encoded_bits(&y_k));
-    let _ = Fingerprint::empty(0); // type anchor: encoding shared with §5
 
     // Step 4: valid trial indices.
     // unique_max_at[i] = Some(j) iff the max is unique at clique[j].

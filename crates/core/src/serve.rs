@@ -72,6 +72,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+/// Why a string-addressed write ([`SessionServer::apply_deltas_str`])
+/// failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaRequestError {
+    /// The workload string did not parse.
+    Parse(WorkloadParseError),
+    /// The instance rejected the delta batch.
+    Net(NetError),
+}
+
+impl std::fmt::Display for DeltaRequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaRequestError::Parse(e) => e.fmt(f),
+            DeltaRequestError::Net(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for DeltaRequestError {}
+
 /// Server knobs: cache budgets, admission bound, and the run
 /// configuration every tenant shares.
 #[derive(Debug, Clone)]
@@ -507,11 +528,20 @@ impl SessionServer {
     }
 
     /// [`Self::apply_deltas`] addressed by a compact workload string.
-    pub fn apply_deltas_str(&self, spec: &str, batches: &[DeltaBatch]) -> Result<u64, NetError> {
-        let spec: WorkloadSpec = spec
-            .parse()
-            .unwrap_or_else(|e: WorkloadParseError| panic!("invalid workload spec: {e}"));
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaRequestError::Parse`] when `spec` does not parse (nothing is
+    /// applied), [`DeltaRequestError::Net`] when the batch is rejected as
+    /// by [`Self::apply_deltas`].
+    pub fn apply_deltas_str(
+        &self,
+        spec: &str,
+        batches: &[DeltaBatch],
+    ) -> Result<u64, DeltaRequestError> {
+        let spec: WorkloadSpec = spec.parse().map_err(DeltaRequestError::Parse)?;
         self.apply_deltas(&spec, batches)
+            .map_err(DeltaRequestError::Net)
     }
 
     /// Obtains the built instance currently published for `base` —
@@ -767,6 +797,21 @@ mod tests {
             .filter(|&(a, b)| b < n && !g.comm().has_link(a, b))
             .collect();
         cgc_net::DeltaBatch::new(n, &inserts, &deletes).unwrap()
+    }
+
+    #[test]
+    fn malformed_delta_spec_is_an_error_not_a_panic() {
+        let spec = "gnp:n=60,p=0.1,seed=2";
+        let server = SessionServer::new(cfg());
+        let batch = churn_batch(spec);
+        let err = server
+            .apply_deltas_str("gnp:n=sixty", std::slice::from_ref(&batch))
+            .unwrap_err();
+        assert!(matches!(err, DeltaRequestError::Parse(_)), "{err:?}");
+        // The same server keeps answering.
+        let out = server.run_str(spec, 1).unwrap();
+        assert!(out.outcome.run.coloring.is_total());
+        assert_eq!(out.outcome.delta_epoch, 0);
     }
 
     /// The coherence regression this PR pins: a cache hit after

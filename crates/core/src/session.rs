@@ -43,8 +43,8 @@ use crate::mutate::{recolor_dirty, MutationOutcome};
 use crate::params::{Ablation, Params};
 use crate::schedule::ColorSchedule;
 use cgc_cluster::{
-    available_threads, palette_sweep_waves, ClusterGraph, ClusterNet, PaletteSweep, ParallelConfig,
-    RepairStats, WaveStats,
+    available_threads, palette_sweep, ClusterGraph, ClusterNet, PaletteSweep, ParallelConfig,
+    RepairStats, WorkerPool,
 };
 use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
@@ -102,10 +102,9 @@ pub struct RunOutcome {
     pub color_secs: f64,
 }
 
-/// What one wave-scheduled palette query pass produced
-/// ([`Session::query_palettes`]): per-vertex palette/slack views plus the
-/// executed wave statistics. A pure function of `(graph, coloring)` —
-/// bit-identical at any thread count.
+/// What one palette query pass produced ([`Session::query_palettes`]):
+/// per-vertex palette/slack views. A pure function of
+/// `(graph, coloring)` — bit-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct PaletteQueryOutcome {
     /// Canonical string of the queried workload.
@@ -118,12 +117,9 @@ pub struct PaletteQueryOutcome {
     pub slacks: Vec<i64>,
     /// Reuse slack: colored neighbors minus distinct colors on them.
     pub reuse_slacks: Vec<usize>,
-    /// Wave statistics of the executed sweep (pure function of the
-    /// schedule, never of thread count).
-    pub wave_stats: WaveStats,
     /// Executor thread count the sweep used.
     pub threads: usize,
-    /// Wall-clock seconds of the sweep (excluding the schedule build).
+    /// Wall-clock seconds of the sweep (excluding the shard planning).
     pub query_secs: f64,
 }
 
@@ -190,15 +186,6 @@ impl SessionBuilder {
     /// Overrides the executor configuration (default: honor `CGC_THREADS`).
     pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Overrides the hub-segmentation threshold (percent of the even
-    /// per-shard entry mass a single CSR row must exceed before the
-    /// executor switches to intra-row segmented plans; default 100,
-    /// `CGC_SEG_THRESHOLD`-honoring, 0 forces segmentation on).
-    pub fn segment_threshold(mut self, pct: u16) -> Self {
-        self.parallel = self.parallel.with_segment_threshold(pct);
         self
     }
 
@@ -457,15 +444,14 @@ impl Session {
     }
 
     /// Runs a read-only palette/slack query pass over every vertex of
-    /// the loaded instance, scheduled as [`ColorSchedule`] **waves** over
-    /// the session's stored coloring — the query-side counterpart of the
-    /// wave-scheduled mutation passes: per wave, the vertices split into
-    /// contiguous shard slices on the persistent pool, each worker
-    /// answering count/select questions against a private packed
-    /// [`cgc_cluster::BitsScratch`]. Because the sweep only reads the
-    /// coloring, its output is a pure function of `(graph, coloring)`:
-    /// bit-identical to the serial sweep at any thread count (the
-    /// equivalence suite pins this).
+    /// the loaded instance against the session's stored coloring: the
+    /// vertices split over the graph's row-granular shard plan on the
+    /// persistent pool, each worker answering count questions against a
+    /// private packed [`cgc_cluster::BitsScratch`]. Because the sweep only
+    /// reads the coloring, it needs no conflict-free schedule and its
+    /// output is a pure function of `(graph, coloring)`: bit-identical to
+    /// the serial sweep at any thread count (the equivalence suite pins
+    /// this).
     ///
     /// Returns `None` until the session holds a total coloring of the
     /// loaded instance (run [`Session::run`] first). Like the other
@@ -475,16 +461,16 @@ impl Session {
             .coloring
             .as_ref()
             .filter(|c| c.is_total() && c.len() == self.graph.n_vertices())?;
-        let schedule = ColorSchedule::build(&self.graph, coloring, &self.parallel);
+        let plan = self.graph.shard_plan(&self.parallel);
+        let pool = WorkerPool::global(self.parallel.threads());
         let start = Instant::now();
         let mut sweep = PaletteSweep::new();
-        let wave_stats = palette_sweep_waves(
+        palette_sweep(
             &self.graph,
             coloring.colors(),
             coloring.q(),
-            schedule.waves().offsets(),
-            schedule.waves().items(),
-            &self.parallel,
+            &plan,
+            pool.as_deref(),
             &mut sweep,
         );
         let query_secs = start.elapsed().as_secs_f64();
@@ -500,7 +486,6 @@ impl Session {
             uncolored_degrees: sweep.uncolored_degrees,
             slacks,
             reuse_slacks: sweep.reuse_slacks,
-            wave_stats,
             threads: self.parallel.threads(),
             query_secs,
         })
@@ -771,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn query_palettes_matches_the_oracles_and_reports_waves() {
+    fn query_palettes_matches_the_oracles() {
         let mut s = SessionBuilder::parse("gnp:n=90,p=0.07,seed=5")
             .unwrap()
             .parallel(ParallelConfig::serial())
@@ -795,8 +780,6 @@ mod tests {
             assert_eq!(out.uncolored_degrees[v], 0, "the coloring is total");
             assert_eq!(out.reuse_slacks[v], coloring.reuse_slack(s.graph(), v));
         }
-        assert_eq!(out.wave_stats.items, n, "every vertex swept exactly once");
-        assert!(out.wave_stats.waves > 0);
         assert_eq!(out.threads, 1);
     }
 

@@ -48,8 +48,8 @@ pub use error::NetError;
 pub use graph::{BfsScratch, CommGraph, MachineId};
 pub use par::{
     available_threads, fill_segmented_with_offsets, fold_rows_segmented, kway_merge_counted,
-    kway_merge_dedup, map_reduce_on, map_reduce_sharded, merge_sorted_runs, patch_csr_rows,
-    run_waves, total_scoped_threads_spawned, ParallelConfig, SegmentedPlan, ShardPlan,
-    ShardStrategy, WaveSchedule, WaveStats, WorkerPool,
+    kway_merge_dedup, map_reduce_on, merge_sorted_runs, patch_csr_rows, run_waves,
+    total_scoped_threads_spawned, ParallelConfig, SegmentedPlan, ShardPlan, WaveSchedule,
+    WaveStats, WorkerPool,
 };
 pub use rng::SeedStream;
