@@ -15,14 +15,18 @@ fn bench_aggregation(c: &mut Criterion) {
             b.iter(|| {
                 let mut net = ClusterNet::with_log_budget(&h, 32);
                 let vals: Vec<u64> = (0..h.n_vertices() as u64).collect();
-                black_box(net.neighbor_fold(
+                let mut out = Vec::new();
+                net.neighbor_fold_into(
                     16,
                     16,
                     &vals,
                     |_, _, _, qu| Some(*qu),
                     |_| 0u64,
                     |a, c| *a = (*a).max(c),
-                ))
+                    |a, b| *a = (*a).max(b),
+                    &mut out,
+                );
+                black_box(out)
             });
         });
 

@@ -56,6 +56,7 @@ fn fold_round(
         |_, _, _, qu| Some(*qu),
         |_| 0u64,
         |a, c| *a = (*a).max(c),
+        |a, b| *a = (*a).max(b),
         out,
     );
     net.exact_degrees_into(degs);
@@ -113,9 +114,8 @@ fn time_folds(
     )
 }
 
-/// Times warm monoid-fold rounds through the segmented path
-/// ([`ClusterNet::neighbor_fold_into_merging`], which runs on the net's
-/// [`SegmentedPlan`]); returns `(ms_per_round, outputs, meter_report)`
+/// Times warm fold rounds ([`ClusterNet::neighbor_fold_into`], which runs
+/// on the net's [`SegmentedPlan`]); returns `(ms_per_round, outputs, meter_report)`
 /// for identity checks.
 fn time_hub_folds(
     h: &ClusterGraph,
@@ -125,7 +125,7 @@ fn time_hub_folds(
     let mut net = ClusterNet::with_parallel(h, 32, par);
     let mut out: Vec<u64> = Vec::new();
     let round = |net: &mut ClusterNet<'_>, out: &mut Vec<u64>| {
-        net.neighbor_fold_into_merging(
+        net.neighbor_fold_into(
             16,
             16,
             queries,

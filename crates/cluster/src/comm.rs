@@ -8,11 +8,12 @@
 //!
 //! Two idioms cover everything the paper's algorithms need:
 //!
-//! * [`ClusterNet::neighbor_fold`] — each vertex publishes a small query;
-//!   link machines compute a contribution per `H`-edge; each vertex receives
-//!   the *aggregate* of contributions over its distinct neighbors. This is
-//!   the paper's "dedication of neighbors" pattern (§1.1): parallel links to
-//!   the same neighbor are deduplicated, so every neighbor contributes once.
+//! * [`ClusterNet::neighbor_fold_into`] — each vertex publishes a small
+//!   query; link machines compute a contribution per `H`-edge; each vertex
+//!   receives the *aggregate* of contributions over its distinct neighbors,
+//!   merged by a monoid. This is the paper's "dedication of neighbors"
+//!   pattern (§1.1): parallel links to the same neighbor are deduplicated,
+//!   so every neighbor contributes once.
 //! * [`ClusterNet::neighbor_collect`] — each vertex receives the full list
 //!   of neighbor messages. Legal but expensive: the converge-cast carries
 //!   `deg(v) · |msg|` bits and is charged with pipelining, which is exactly
@@ -35,16 +36,16 @@
 //!
 //! The aggregation primitives shard their work across worker threads
 //! when the runtime carries a [`ParallelConfig`] with `threads > 1`
-//! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Monoid
-//! folds and collects run on a [`SegmentedPlan`], which may cut inside a
-//! hub's CSR row and merges the row's fragments in ascending order; other
-//! folds give each shard a contiguous vertex range ([`ShardPlan`]). Either
-//! way every vertex's contributions arrive in ascending neighbor order —
-//! the *same* order the sequential sweep applies — and every
-//! [`CostMeter`] charge happens once, on the calling thread, before the
-//! compute. Results and cost totals are
-//! therefore **bit-identical at any thread count**; the `Fn` (not `FnMut`)
-//! bounds on the edge/init/fold closures enforce the purity this needs.
+//! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Folds
+//! and collects run on a [`SegmentedPlan`], which may cut inside a hub's
+//! CSR row and merges the row's fragments in ascending order; the
+//! per-vertex maps give each shard a contiguous vertex range
+//! ([`ShardPlan`]). Either way every vertex's contributions arrive in
+//! ascending neighbor order — the *same* order the sequential walk
+//! applies — and every [`CostMeter`] charge happens once, on the calling
+//! thread, before the compute. Results and cost totals are therefore
+//! **bit-identical at any thread count**; the `Fn` (not `FnMut`) bounds on
+//! the edge/init/fold closures enforce the purity this needs.
 
 use crate::graph::{ClusterGraph, VertexId};
 use crate::par::{
@@ -128,13 +129,10 @@ pub struct ClusterNet<'a> {
     scratch: RoundScratch,
     par: ParallelConfig,
     plan: ShardPlan,
-    /// The intra-row segmented plan the monoid fold wrappers and
-    /// `neighbor_collect` always run on, so one power-law hub never
+    /// The intra-row segmented plan `neighbor_fold_into` (and its typed
+    /// wrappers) and `neighbor_collect` always run on, so one power-law hub never
     /// serializes a whole shard (one segment under the serial config).
     seg: SegmentedPlan,
-    /// Even per-vertex plan for the O(1)-per-vertex primitives
-    /// (`exact_degrees`), where entry mass is the wrong balance measure.
-    even_plan: ShardPlan,
     /// The persistent dispatch pool for `threads > 1` configs, acquired
     /// from the process-global cache ([`WorkerPool::global`]) so every
     /// runtime — and every round of every run — reuses the same parked
@@ -172,7 +170,6 @@ impl<'a> ClusterNet<'a> {
             scratch: RoundScratch::default(),
             plan: g.shard_plan(&par),
             seg: g.segmented_plan(&par),
-            even_plan: ShardPlan::even(g.n_vertices(), par.threads()),
             pool: WorkerPool::global(par.threads()),
             par,
         }
@@ -209,7 +206,6 @@ impl<'a> ClusterNet<'a> {
         }
         self.plan = self.g.shard_plan(&par);
         self.seg = self.g.segmented_plan(&par);
-        self.even_plan = ShardPlan::even(self.g.n_vertices(), par.threads());
         self.pool = WorkerPool::global(par.threads());
         self.par = par;
     }
@@ -321,137 +317,33 @@ impl<'a> ClusterNet<'a> {
     /// One full aggregation round (§3.2): every vertex `v` publishes
     /// `queries[v]`; for every `H`-edge and both directions the link machine
     /// computes `edge(v, u, &queries[v], &queries[u])`; vertex `v` receives
-    /// the fold of all `Some` contributions from its *distinct* neighbors.
+    /// the fold of all `Some` contributions from its *distinct* neighbors,
+    /// written to `out[v]` (`out` is cleared and refilled, so a warm buffer
+    /// makes the round allocation-free).
     ///
     /// Charges: broadcast(`query_bits`) + link round(`query_bits`) +
     /// converge(`response_bits`). `response_bits` must bound the encoded
     /// size of the (partially aggregated) fold value.
     ///
-    /// Allocates one output vector; round loops should prefer
-    /// [`Self::neighbor_fold_into`] (or the typed wrappers
-    /// [`Self::neighbor_fold_flags`], [`Self::neighbor_fold_counts`],
-    /// [`Self::neighbor_fold_words`]) which reuse a caller- or
-    /// runtime-owned buffer.
+    /// The fold must be a **monoid**: `init(v)` is the combine identity and
+    /// `merge` continues a fold split at any point
+    /// (`merge(a, fold(init(v), es)) == fold(a, es)`). That law is what lets
+    /// the round run on the runtime's [`SegmentedPlan`]: each segment folds
+    /// its fragments of a row in ascending neighbor order, and the fragments
+    /// merge in ascending segment order, so outputs and meter charges are
+    /// bit-identical to the serial walk — even for non-commutative monoids —
+    /// while no shard carries more than its entry share, hub row or not.
+    /// Under the serial config the plan has one segment and the round is
+    /// one CSR row walk.
     ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != n_vertices`.
-    pub fn neighbor_fold<Q: Sync, C, R: Send>(
-        &mut self,
-        query_bits: u64,
-        response_bits: u64,
-        queries: &[Q],
-        edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<C> + Sync,
-        init: impl Fn(VertexId) -> R + Sync,
-        fold: impl Fn(&mut R, C) + Sync,
-    ) -> Vec<R> {
-        let mut out = Vec::new();
-        self.neighbor_fold_into(
-            query_bits,
-            response_bits,
-            queries,
-            edge,
-            init,
-            fold,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Self::neighbor_fold`] writing into a reusable buffer: `out` is
-    /// cleared and refilled, so a warm buffer makes the round
-    /// allocation-free under the sequential config.
-    ///
-    /// Each vertex's fold walks its CSR adjacency row in ascending neighbor
-    /// order with the accumulator in a register, shard-parallel across the
-    /// runtime's [`ShardPlan`] into disjoint output slices. The contribution
-    /// order per vertex equals the flat edge-table sweep's (neighbors below
-    /// `v` ascending, then above), so results are bit-identical to the
-    /// historical sequential path at any thread count — even for
-    /// non-commutative folds.
+    /// The typed wrappers ([`Self::neighbor_fold_flags`] and friends) all
+    /// route through here — their folds are monoids (OR, +, |).
     ///
     /// # Panics
     ///
     /// Panics if `queries.len() != n_vertices`.
     #[allow(clippy::too_many_arguments)]
     pub fn neighbor_fold_into<Q: Sync, C, R: Send>(
-        &mut self,
-        query_bits: u64,
-        response_bits: u64,
-        queries: &[Q],
-        edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<C> + Sync,
-        init: impl Fn(VertexId) -> R + Sync,
-        fold: impl Fn(&mut R, C) + Sync,
-        out: &mut Vec<R>,
-    ) {
-        assert_eq!(
-            queries.len(),
-            self.g.n_vertices(),
-            "one query per vertex required"
-        );
-        self.charge_broadcast(query_bits);
-        self.charge_link_round(query_bits);
-        self.charge_converge(response_bits);
-
-        if self.plan.n_shards() <= 1 {
-            // Sequential: one sweep of the flat edge table (half the gather
-            // traffic of the row walk, and the historical reference
-            // semantics). For each vertex, contributions arrive from
-            // neighbors below it in ascending order, then neighbors above
-            // it in ascending order — i.e. ascending neighbor order.
-            out.clear();
-            out.extend((0..self.g.n_vertices()).map(&init));
-            for &(u, v) in self.g.h_edge_slice() {
-                if let Some(c) = edge(v, u, &queries[v], &queries[u]) {
-                    fold(&mut out[v], c);
-                }
-                if let Some(c) = edge(u, v, &queries[u], &queries[v]) {
-                    fold(&mut out[u], c);
-                }
-            }
-        } else {
-            // Sharded: each worker folds its own vertices by walking their
-            // CSR rows — ascending neighbor order, so the per-vertex
-            // contribution order (and thus the result) is identical to the
-            // sequential sweep, while every write lands in the worker's
-            // disjoint output slice.
-            let (offsets, adj) = self.g.adjacency_csr();
-            fill_sharded(out, &self.plan, self.pool.as_deref(), |start, slot| {
-                for (i, cell) in slot.iter_mut().enumerate() {
-                    let v = start + i;
-                    let mut acc = init(v);
-                    let qv = &queries[v];
-                    for &u in &adj[offsets[v]..offsets[v + 1]] {
-                        if let Some(c) = edge(v, u, qv, &queries[u]) {
-                            fold(&mut acc, c);
-                        }
-                    }
-                    cell.write(acc);
-                }
-            });
-        }
-    }
-
-    /// [`Self::neighbor_fold_into`] for **monoid** folds — `init` is the
-    /// combine identity and `merge` continues a fold split at any point
-    /// (`merge(a, fold(init(v), es)) == fold(a, es)`). That extra law is
-    /// what lets the round run on the runtime's [`SegmentedPlan`]: each
-    /// segment folds its fragments of a row independently, and the
-    /// fragments merge in ascending segment order, so outputs and meter
-    /// charges are bit-identical to the serial walk while no shard carries
-    /// more than its entry share, hub row or not. Under the serial config
-    /// the plan has one segment and the round is one CSR row walk.
-    ///
-    /// The typed wrappers ([`Self::neighbor_fold_flags`] and friends) all
-    /// route through here — their folds are monoids (OR, +, |) — so the
-    /// driver's trial stages are hub-proof automatically. Non-monoid folds
-    /// must stay on [`Self::neighbor_fold_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != n_vertices`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn neighbor_fold_into_merging<Q: Sync, C, R: Send>(
         &mut self,
         query_bits: u64,
         response_bits: u64,
@@ -500,7 +392,7 @@ impl<'a> ClusterNet<'a> {
         edge: impl Fn(VertexId, VertexId, &Q, &Q) -> bool + Sync,
     ) -> &[bool] {
         let mut buf = std::mem::take(&mut self.scratch.flags);
-        self.neighbor_fold_into_merging(
+        self.neighbor_fold_into(
             query_bits,
             response_bits,
             queries,
@@ -524,7 +416,7 @@ impl<'a> ClusterNet<'a> {
         edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<usize> + Sync,
     ) -> &[usize] {
         let mut buf = std::mem::take(&mut self.scratch.counts);
-        self.neighbor_fold_into_merging(
+        self.neighbor_fold_into(
             query_bits,
             response_bits,
             queries,
@@ -548,7 +440,7 @@ impl<'a> ClusterNet<'a> {
         edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<u64> + Sync,
     ) -> &[u64] {
         let mut buf = std::mem::take(&mut self.scratch.words);
-        self.neighbor_fold_into_merging(
+        self.neighbor_fold_into(
             query_bits,
             response_bits,
             queries,
@@ -640,11 +532,8 @@ impl<'a> ClusterNet<'a> {
 
     /// [`Self::exact_degrees`] into a reusable buffer. After the dedup
     /// round, each vertex's count equals its deduplicated CSR degree, so
-    /// the fold is resolved directly from the topology — shard-parallel
-    /// into disjoint output slices like every other primitive. The local
-    /// work here is O(1) per vertex (an offsets difference, never a row
-    /// walk), so the shards balance on the even per-vertex plan: entry
-    /// mass — hub or not — is irrelevant to this primitive's cost.
+    /// the fold is resolved directly from the topology: one serial pass of
+    /// O(n) offset differences, too little work to be worth a dispatch.
     pub fn exact_degrees_into(&mut self, out: &mut Vec<usize>) {
         // One converge inside each neighbor to cut extra links, then the
         // counting round itself: constant rounds, O(log n)-bit messages.
@@ -653,12 +542,8 @@ impl<'a> ClusterNet<'a> {
         self.charge_link_round(1);
         self.charge_converge(self.id_bits());
         let (offsets, _) = self.g.adjacency_csr();
-        fill_sharded(out, &self.even_plan, self.pool.as_deref(), |start, slot| {
-            for (i, cell) in slot.iter_mut().enumerate() {
-                let v = start + i;
-                cell.write(offsets[v + 1] - offsets[v]);
-            }
-        });
+        out.clear();
+        out.extend(offsets.windows(2).map(|w| w[1] - w[0]));
     }
 
     /// Builds a per-vertex vector shard-parallel over the runtime's
@@ -770,19 +655,22 @@ mod tests {
         let mut net = ClusterNet::new(&h, 64);
         // Sum of neighbor values: each cluster has exactly one neighbor.
         let vals = vec![10u64, 20u64];
-        let sums = net.neighbor_fold(
+        let mut sums = Vec::new();
+        net.neighbor_fold_into(
             8,
             8,
             &vals,
             |_, _, _, qu| Some(*qu),
             |_| 0u64,
             |acc, c| *acc += c,
+            |acc, b| *acc += b,
+            &mut sums,
         );
         assert_eq!(sums, vec![20, 10]);
     }
 
     #[test]
-    fn fold_into_reuses_buffer_and_matches_fold() {
+    fn fold_into_reuses_its_buffer() {
         let h = multi_link();
         let mut net = ClusterNet::new(&h, 64);
         let vals = vec![10u64, 20u64];
@@ -795,6 +683,7 @@ mod tests {
                 |_, _, _, qu| Some(*qu),
                 |_| 0u64,
                 |acc, c| *acc += c,
+                |acc, b| *acc += b,
                 &mut buf,
             );
             assert_eq!(buf, vec![20, 10]);
@@ -856,13 +745,15 @@ mod tests {
         let h = multi_link();
         let mut net = ClusterNet::new(&h, 16);
         net.set_phase("t");
-        net.neighbor_fold(
+        net.neighbor_fold_into(
             16,
             16,
             &[(); 2],
             |_, _, _, _| Some(1u32),
             |_| 0u32,
             |a, c| *a += c,
+            |a, b| *a += b,
+            &mut Vec::new(),
         );
         let r = net.meter.report();
         assert!(r.h_rounds >= 3, "broadcast + link + converge");

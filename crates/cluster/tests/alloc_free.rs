@@ -125,6 +125,7 @@ fn neighbor_fold_into_is_allocation_free_when_warm() {
         |_, _, _, qu| Some(*qu),
         |_| 0u64,
         |a, c| *a = (*a).max(c),
+        |a, b| *a = (*a).max(b),
         &mut out,
     );
     let warm = out.clone();
@@ -137,6 +138,7 @@ fn neighbor_fold_into_is_allocation_free_when_warm() {
             |_, _, _, qu| Some(*qu),
             |_| 0u64,
             |a, c| *a = (*a).max(c),
+            |a, b| *a = (*a).max(b),
             &mut out,
         );
     }
@@ -213,6 +215,7 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
             |_, _, _, qu| Some(*qu),
             |_| 0u64,
             |a, c| *a = (*a).max(c),
+            |a, b| *a = (*a).max(b),
             out,
         );
     };
@@ -269,7 +272,7 @@ fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
     let mut out: Vec<u64> = Vec::new();
     let mut lists: NeighborLists<u64> = NeighborLists::new();
     let fold = |net: &mut ClusterNet<'_>, out: &mut Vec<u64>| {
-        net.neighbor_fold_into_merging(
+        net.neighbor_fold_into(
             16,
             16,
             &queries,
@@ -313,15 +316,7 @@ fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
     // And the segmented results match a sequential runtime's bit for bit.
     let mut seq = ClusterNet::new(&h, 64);
     let mut seq_out: Vec<u64> = Vec::new();
-    seq.neighbor_fold_into(
-        16,
-        16,
-        &queries,
-        |_, _, _, qu| Some(*qu),
-        |_| 0u64,
-        |a, c| *a = (*a).max(c),
-        &mut seq_out,
-    );
+    fold(&mut seq, &mut seq_out);
     assert_eq!(out, seq_out);
 }
 

@@ -1,10 +1,10 @@
 //! Differential test for the flat-CSR edge-table refactor: on random
 //! multi-link instances, `link_multiplicity`, `h_edges()` order and
-//! `neighbor_fold` results must be bit-identical to the original
+//! `neighbor_fold_into` results must be bit-identical to the original
 //! `BTreeMap<(u, v), usize>` semantics (which this test reimplements as
 //! the reference model).
 
-use cgc_cluster::{ClusterGraph, ClusterNet, VertexId};
+use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, VertexId};
 use cgc_net::{CommGraph, SeedStream};
 use rand::RngExt;
 use std::collections::BTreeMap;
@@ -117,6 +117,7 @@ fn flat_table_matches_btreemap_reference_on_random_instances() {
 
 #[test]
 fn neighbor_fold_matches_btreemap_edge_sweep() {
+    let mut split_rows = 0usize;
     for seed in 0..40u64 {
         let inst = random_instance(seed ^ 0xF00D);
         let comm = CommGraph::from_edges(inst.n_machines, &inst.comm_edges).unwrap();
@@ -134,23 +135,62 @@ fn neighbor_fold_matches_btreemap_edge_sweep() {
             want[u] = want[u].wrapping_mul(31).wrapping_add(queries[v]);
         }
 
-        let mut net = ClusterNet::new(&h, 64);
-        // The fold is order-sensitive by construction (non-commutative
-        // accumulator), so equality proves the edge sweep order matches.
-        let got = net.neighbor_fold(
-            16,
-            16,
-            &queries,
-            |_, _, _, qu| Some(*qu),
-            |_| 0u64,
-            |acc, c| *acc = acc.wrapping_mul(31).wrapping_add(c),
-        );
-        assert_eq!(got, want, "seed {seed}: fold diverged");
+        for threads in [1usize, 2, 4, 8] {
+            let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(threads));
+            let plan = net.segmented_plan();
+            let (offsets, _) = h.adjacency_csr();
+            split_rows += (1..plan.n_segments())
+                .filter(|&s| {
+                    let (r, e) = plan.cut(s);
+                    e > offsets[r]
+                })
+                .count();
+            // The fold is order-sensitive by construction (non-commutative
+            // accumulator), so equality proves every vertex sees its
+            // neighbors in the edge sweep's order, fragments included.
+            let mut got: Vec<(u64, u64)> = Vec::new();
+            net.neighbor_fold_into(
+                16,
+                16,
+                &queries,
+                |_, _, _, qu| Some(*qu),
+                |_| ORDERED_IDENTITY,
+                ordered_fold,
+                ordered_merge,
+                &mut got,
+            );
+            let got: Vec<u64> = got.iter().map(|&(h, _)| h).collect();
+            assert_eq!(got, want, "seed {seed} threads {threads}: fold diverged");
 
-        // And exact degrees equal the deduplicated CSR degrees.
-        let degs = net.exact_degrees();
-        for (v, &d) in degs.iter().enumerate() {
-            assert_eq!(d, h.neighbors(v).len(), "seed {seed}: degree({v})");
+            // And exact degrees equal the deduplicated CSR degrees.
+            let degs = net.exact_degrees();
+            for (v, &d) in degs.iter().enumerate() {
+                assert_eq!(d, h.neighbors(v).len(), "seed {seed}: degree({v})");
+            }
         }
     }
+    assert!(
+        split_rows > 0,
+        "no cut landed inside a row: the merge went untested"
+    );
+}
+
+/// An associative but order-sensitive monoid: `(h, p)` is the hash
+/// `h = Σ c_i · 31^(k-1-i)` of a contribution sequence plus `p = 31^k`, so
+/// a split fold `(h₁, p₁) ⋅ (h₂, p₂) = (h₁·p₂ + h₂, p₁·p₂)` continues it
+/// exactly, while any reordering changes `h`.
+const ORDERED_IDENTITY: (u64, u64) = (0, 1);
+
+fn ordered_fold(acc: &mut (u64, u64), c: u64) {
+    *acc = (
+        acc.0.wrapping_mul(31).wrapping_add(c),
+        acc.1.wrapping_mul(31),
+    );
+}
+
+fn ordered_merge(acc: &mut (u64, u64), part: (u64, u64)) {
+    *acc = (
+        acc.0.wrapping_mul(part.1).wrapping_add(part.0),
+        acc.1.wrapping_mul(part.1),
+    );
 }

@@ -2,8 +2,9 @@
 //! multi-link instances, every aggregation primitive run at thread counts
 //! {1, 2, 4, 8} must produce output buffers
 //! **and** `CostMeter` phase/total charges bit-identical to the sequential
-//! runtime. The fold accumulator is deliberately non-commutative, so any
-//! reordering of contributions — not just any misrouting — fails loudly.
+//! runtime. The fold accumulator is a deliberately non-commutative monoid,
+//! so any reordering of contributions — not just any misrouting — fails
+//! loudly, including in the fragment merge of rows split across segments.
 
 use cgc_cluster::{
     execute_broadcast_with, execute_full_round_with, ClusterGraph, ClusterNet, NeighborLists,
@@ -37,6 +38,26 @@ fn random_instance(seed: u64) -> ClusterGraph {
     ClusterGraph::build(comm, (0..n_machines).map(|x| x / m).collect()).unwrap()
 }
 
+/// An associative but order-sensitive monoid: `(h, p)` is the hash
+/// `h = Σ c_i · 31^(k-1-i)` of a contribution sequence plus `p = 31^k`, so
+/// a split fold `(h₁, p₁) ⋅ (h₂, p₂) = (h₁·p₂ + h₂, p₁·p₂)` continues it
+/// exactly, while any reordering changes `h`.
+const ORDERED_IDENTITY: (u64, u64) = (0, 1);
+
+fn ordered_fold(acc: &mut (u64, u64), c: u64) {
+    *acc = (
+        acc.0.wrapping_mul(31).wrapping_add(c),
+        acc.1.wrapping_mul(31),
+    );
+}
+
+fn ordered_merge(acc: &mut (u64, u64), part: (u64, u64)) {
+    *acc = (
+        acc.0.wrapping_mul(part.1).wrapping_add(part.0),
+        acc.1.wrapping_mul(part.1),
+    );
+}
+
 /// Runs the whole primitive battery on one runtime and returns everything
 /// it produced, including the final meter snapshot.
 #[allow(clippy::type_complexity)]
@@ -44,7 +65,7 @@ fn run_battery(
     g: &ClusterGraph,
     par: ParallelConfig,
 ) -> (
-    Vec<u64>,
+    Vec<(u64, u64)>,
     Vec<bool>,
     Vec<usize>,
     Vec<u64>,
@@ -59,9 +80,10 @@ fn run_battery(
         .collect();
 
     net.set_phase("fold");
-    // Order-sensitive accumulator: a * 31 + c is not commutative, so the
-    // contribution order (ascending neighbors) must match exactly.
-    let fold = net.neighbor_fold(
+    // Order-sensitive accumulator: the contribution order (ascending
+    // neighbors) must match exactly.
+    let mut fold = Vec::new();
+    net.neighbor_fold_into(
         16,
         16,
         &queries,
@@ -72,8 +94,10 @@ fn run_battery(
                 None
             }
         },
-        |v| v as u64,
-        |acc, c| *acc = acc.wrapping_mul(31).wrapping_add(c),
+        |_| ORDERED_IDENTITY,
+        ordered_fold,
+        ordered_merge,
+        &mut fold,
     );
 
     net.set_phase("typed");
@@ -143,18 +167,21 @@ fn reconfiguring_a_live_net_keeps_results_identical() {
     let n = g.n_vertices();
     let queries: Vec<u64> = (0..n as u64).collect();
     let mut net = ClusterNet::new(&g, 32);
-    let mut reference: Option<Vec<u64>> = None;
+    let mut reference: Option<Vec<(u64, u64)>> = None;
     let mut per_round_bits: Option<u128> = None;
     for threads in [1usize, 4, 2, 8, 1] {
         net.set_parallel(ParallelConfig::with_threads(threads));
         let before = net.meter.report().bits;
-        let got = net.neighbor_fold(
+        let mut got = Vec::new();
+        net.neighbor_fold_into(
             16,
             16,
             &queries,
             |_, _, _, qu| Some(*qu),
-            |_| 0u64,
-            |acc, c| *acc = acc.wrapping_mul(31).wrapping_add(c),
+            |_| ORDERED_IDENTITY,
+            ordered_fold,
+            ordered_merge,
+            &mut got,
         );
         let spent = net.meter.report().bits - before;
         match &reference {

@@ -82,8 +82,10 @@ pub struct RunResult {
 }
 
 /// Options modifying the driver (kept out of [`Params`] so the algorithm
-/// constants stay paper-comparable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// constants stay paper-comparable). The default is the fingerprint ACD on
+/// the sequential executor; no environment variable is read — a caller
+/// that wants `CGC_THREADS` passes [`ParallelConfig::from_env`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverOptions {
     /// Use the exact-oracle ACD (charged nominally) instead of the
     /// fingerprint ACD — for large-`n` experiments; E10 quantifies the
@@ -98,18 +100,6 @@ pub struct DriverOptions {
     pub parallel: ParallelConfig,
 }
 
-impl Default for DriverOptions {
-    /// Honors `CGC_THREADS` (see [`ParallelConfig::from_env`]): unset means
-    /// sequential, so default runs match the historical driver exactly;
-    /// the CI matrix sets it to exercise every phase at max parallelism.
-    fn default() -> Self {
-        DriverOptions {
-            oracle_acd: false,
-            parallel: ParallelConfig::from_env(),
-        }
-    }
-}
-
 /// Colors the cluster graph bound to `net` with `Δ+1` colors.
 ///
 /// The returned coloring is always total and proper (the terminal
@@ -121,17 +111,11 @@ impl Default for DriverOptions {
 /// [`crate::Session`], which owns the instance, caches its build across
 /// runs, and bundles thread/timing context with the result.
 ///
-/// An explicitly parallel `net` keeps its configuration; a serial net
-/// picks up `CGC_THREADS` via [`DriverOptions::default`]. Either way the
-/// outputs are bit-identical — only wall-clock differs. To pin a run
-/// sequential regardless of the environment (single-thread timing), pass
-/// [`ParallelConfig::serial`] through [`color_cluster_graph_with`].
+/// The run keeps `net`'s executor configuration ([`ClusterNet::parallel`]);
+/// the outputs are bit-identical at any thread count — only wall-clock
+/// differs.
 pub fn color_cluster_graph(net: &mut ClusterNet<'_>, params: &Params, seed: u64) -> RunResult {
-    let parallel = if net.parallel().is_serial() {
-        ParallelConfig::from_env()
-    } else {
-        *net.parallel()
-    };
+    let parallel = *net.parallel();
     color_cluster_graph_with(
         net,
         params,
@@ -367,8 +351,14 @@ mod tests {
     };
     use cgc_net::CommGraph;
 
+    /// A runtime on the `CGC_THREADS` executor, so the CI thread matrix
+    /// covers these runs.
+    fn env_net(g: &ClusterGraph) -> ClusterNet<'_> {
+        ClusterNet::with_log_budget_parallel(g, 32, ParallelConfig::from_env())
+    }
+
     fn assert_good(g: &ClusterGraph, seed: u64) -> RunResult {
-        let mut net = ClusterNet::with_log_budget(g, 32);
+        let mut net = env_net(g);
         let params = Params::laptop(g.n_vertices());
         let run = color_cluster_graph(&mut net, &params, seed);
         assert!(run.coloring.is_total());
@@ -427,8 +417,8 @@ mod tests {
         let cfg = MixtureConfig::default();
         let (spec, _) = mixture_spec(&cfg, 4);
         let g = realize(&spec, Layout::Singleton, 1, 4);
-        let mut net1 = ClusterNet::with_log_budget(&g, 32);
-        let mut net2 = ClusterNet::with_log_budget(&g, 32);
+        let mut net1 = env_net(&g);
+        let mut net2 = env_net(&g);
         let params = Params::laptop(g.n_vertices());
         let a = color_cluster_graph(&mut net1, &params, 99);
         let b = color_cluster_graph(&mut net2, &params, 99);
@@ -449,7 +439,7 @@ mod tests {
             7,
             DriverOptions {
                 oracle_acd: true,
-                ..DriverOptions::default()
+                parallel: ParallelConfig::from_env(),
             },
         );
         assert!(run.coloring.is_total());
@@ -475,7 +465,7 @@ mod tests {
         // simulable Δ: the Theorem 1.1 path runs and still colors.
         let spec = gnp_spec(60, 0.2, 7);
         let g = realize(&spec, Layout::Singleton, 1, 7);
-        let mut net = ClusterNet::with_log_budget(&g, 32);
+        let mut net = env_net(&g);
         let params = Params::paper(g.n_vertices());
         let run = color_cluster_graph(&mut net, &params, 19);
         assert_eq!(run.stats.path, AlgoPath::LowDegree);
@@ -540,7 +530,7 @@ mod tests {
                 putaside: false,
             },
         ] {
-            let mut net = ClusterNet::with_log_budget(&g, 32);
+            let mut net = env_net(&g);
             let mut params = Params::laptop(g.n_vertices());
             params.ablation = ab;
             let run = color_cluster_graph(&mut net, &params, 22);

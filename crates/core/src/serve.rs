@@ -814,6 +814,51 @@ mod tests {
         assert_eq!(out.outcome.delta_epoch, 0);
     }
 
+    #[test]
+    fn out_of_range_specs_are_errors_not_panics() {
+        let bad = [
+            "gnp:n=10,p=2,seed=1",
+            "gnp:n=10,p=-0.1,seed=1",
+            "gnp:n=10,p=NaN,seed=1",
+            "square:n=10,p=1.5,seed=1",
+            "powerlaw:n=0,beta=2.5,avg=4,seed=1",
+            "powerlaw:n=100,beta=1.5,avg=4,seed=1",
+            "powerlaw:n=100,beta=2,avg=4,seed=1",
+            "powerlaw:n=100,beta=NaN,avg=4,seed=1",
+            "powerlaw:n=100,beta=2.5,avg=0,seed=1",
+            "rgg:n=0,r=0.1,seed=1",
+            "rgg:n=100,r=3,seed=1",
+            "rgg:n=100,r=0,seed=1",
+            "mixture:c=2,k=10,anti=1.5,ext=1,bg=10,bgp=0.1,seed=1",
+            "mixture:c=2,k=10,anti=0.1,ext=1,bg=10,bgp=-1,seed=1",
+            "cabal:c=2,k=10,anti=6,ext=1,seed=1",
+            "bottleneck:clusters=0,path=3,seed=0",
+            "bottleneck:clusters=4,path=1,seed=0",
+            "contraction:side=0,lo=1,hi=2,seed=1",
+            "contraction:side=8,lo=0,hi=2,seed=1",
+            "contraction:side=8,lo=3,hi=2,seed=1",
+        ];
+        for spec in bad {
+            assert!(spec.parse::<WorkloadSpec>().is_err(), "{spec}");
+        }
+        // The boundary values the generators accept still parse and build.
+        for spec in [
+            "gnp:n=10,p=0,seed=1",
+            "gnp:n=10,p=1,seed=1",
+            "rgg:n=10,r=1,seed=1",
+            "cabal:c=2,k=10,anti=5,ext=1,seed=1",
+            "contraction:side=4,lo=1,hi=1,seed=1",
+        ] {
+            let parsed: WorkloadSpec = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
+            parsed.build();
+        }
+        // A server refuses the request and keeps answering.
+        let server = SessionServer::new(cfg());
+        assert!(server.run_str(bad[0], 0).is_err());
+        let out = server.run_str("gnp:n=60,p=0.1,seed=2", 1).unwrap();
+        assert!(out.outcome.run.coloring.is_total());
+    }
+
     /// The coherence regression this PR pins: a cache hit after
     /// `apply_deltas` must serve the *mutated* instance — bit-identical
     /// to a standalone session that applied the same deltas — never the

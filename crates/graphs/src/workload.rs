@@ -154,6 +154,37 @@ impl WorkloadFamily {
         }
     }
 
+    /// Rejects the parameter values the family's generator asserts
+    /// against, so a parsed spec always builds instead of panicking.
+    fn check_realizable(&self) -> Result<(), WorkloadParseError> {
+        let unit = |p: f64| (0.0..=1.0).contains(&p); // false for NaN
+        let problem = match *self {
+            WorkloadFamily::Gnp { p, .. } | WorkloadFamily::Square { p, .. } if !unit(p) => {
+                "p must be in [0, 1]"
+            }
+            WorkloadFamily::PowerLaw { n: 0, .. } | WorkloadFamily::Rgg { n: 0, .. } => {
+                "n must be ≥ 1"
+            }
+            WorkloadFamily::PowerLaw { beta, .. } if beta <= 2.0 || beta.is_nan() => {
+                "beta must be > 2"
+            }
+            WorkloadFamily::PowerLaw { avg, .. } if avg <= 0.0 || avg.is_nan() => "avg must be > 0",
+            WorkloadFamily::Rgg { r, .. } if !(r > 0.0 && r <= 1.0) => "r must be in (0, 1]",
+            WorkloadFamily::Mixture { anti, bgp, .. } if !unit(anti) || !unit(bgp) => {
+                "anti and bgp must be in [0, 1]"
+            }
+            WorkloadFamily::Cabal { k, anti, .. } if anti > k / 2 => "2·anti must be ≤ k",
+            WorkloadFamily::Bottleneck { clusters, path } if clusters == 0 || path < 2 => {
+                "bottleneck needs clusters ≥ 1 and path ≥ 2"
+            }
+            WorkloadFamily::Contraction { side, lo, hi } if side == 0 || lo == 0 || lo > hi => {
+                "contraction needs side ≥ 1 and 1 ≤ lo ≤ hi"
+            }
+            _ => return Ok(()),
+        };
+        Err(WorkloadParseError(format!("{}: {problem}", self.name())))
+    }
+
     /// Whether this family constructs its [`ClusterGraph`] directly —
     /// the contraction *is* the layout — so `layout`/`links` keys do not
     /// apply (`bottleneck`, `contraction`).
@@ -653,6 +684,7 @@ impl FromStr for WorkloadSpec {
             .unwrap_or(Layout::Singleton);
         let links: usize = fields.take_opt("links")?.unwrap_or(1);
         fields.finish()?;
+        family.check_realizable()?;
         if links == 0 {
             return Err(WorkloadParseError("links must be ≥ 1".into()));
         }

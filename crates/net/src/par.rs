@@ -383,12 +383,13 @@ impl SegmentedPlan {
 /// Bit-identity with the serial walk therefore requires `(init, scan,
 /// merge)` to satisfy `merge(a, fold(init(v), es)) == fold(a, es)` — i.e.
 /// `init(v)` is a left identity for the fold and `merge` continues it.
-/// Every monoid fold (max, sum, OR with `init` = identity) qualifies;
-/// folds whose `init` depends on already-accumulated state do not and must
-/// stay on the row-granular [`fill_sharded`].
+/// Every monoid fold (max, sum, OR with `init` = identity) qualifies, and
+/// so does a non-commutative one: fragments merge in entry order.
 ///
 /// The scratch arena is `n + n_segments` slots of one (re)used allocation
-/// (`out`'s spare capacity), so warm calls allocate nothing.
+/// (`out`'s spare capacity), so warm calls allocate nothing. With one
+/// segment (the serial plan) [`for_each_shard`] runs it inline and the
+/// walk is the plain row-by-row fold.
 pub fn fold_rows_segmented<T: Send>(
     out: &mut Vec<T>,
     plan: &SegmentedPlan,
@@ -402,18 +403,6 @@ pub fn fold_rows_segmented<T: Send>(
     debug_assert_eq!(offsets.len(), n + 1);
     let segs = plan.n_segments();
     out.clear();
-    if segs <= 1 {
-        out.reserve(n);
-        let spare = &mut out.spare_capacity_mut()[..n];
-        for (v, cell) in spare.iter_mut().enumerate() {
-            let mut acc = init(v);
-            scan(v, offsets[v]..offsets[v + 1], &mut acc);
-            cell.write(acc);
-        }
-        // SAFETY: all n row slots were just written.
-        unsafe { out.set_len(n) };
-        return;
-    }
     out.reserve(n + segs);
     let spare = &mut out.spare_capacity_mut()[..n + segs];
     let (row_slots, part_slots) = spare.split_at_mut(n);
@@ -501,38 +490,25 @@ pub fn fill_segmented_with_offsets<T: Send>(
     out_offsets.reserve(n + 1);
     out_data.clear();
     out_data.reserve(n_entries);
-    let segs = plan.n_segments();
-    if segs <= 1 {
-        let offs_slot = &mut out_offsets.spare_capacity_mut()[..n];
-        for (v, cell) in offs_slot.iter_mut().enumerate() {
-            cell.write(offsets[v]);
+    let offs_base = SendPtr::new(out_offsets.spare_capacity_mut()[..n].as_mut_ptr());
+    let data_base = SendPtr::new(out_data.spare_capacity_mut()[..n_entries].as_mut_ptr());
+    for_each_shard(pool, plan.n_segments(), &|s| {
+        let (r0, e0) = plan.cut(s);
+        let (r1, e1) = plan.cut(s + 1);
+        // Rows owned from their start (the tail fragment of a split row
+        // belongs to the segment holding its head).
+        let v0 = if e0 > offsets[r0] { r0 + 1 } else { r0 };
+        let v1 = if e1 > offsets[r1] { r1 + 1 } else { r1 };
+        for (v, &off) in (v0..v1).zip(&offsets[v0..v1]) {
+            // SAFETY: owned-row ranges tile 0..n across segments.
+            unsafe { (*offs_base.get().add(v)).write(off) };
         }
-        fill(
-            0..n_entries,
-            &mut out_data.spare_capacity_mut()[..n_entries],
-        );
-    } else {
-        let offs_base = SendPtr::new(out_offsets.spare_capacity_mut()[..n].as_mut_ptr());
-        let data_base = SendPtr::new(out_data.spare_capacity_mut()[..n_entries].as_mut_ptr());
-        for_each_shard(pool, segs, &|s| {
-            let (r0, e0) = plan.cut(s);
-            let (r1, e1) = plan.cut(s + 1);
-            // Rows owned from their start (the tail fragment of a split
-            // row belongs to the segment holding its head).
-            let v0 = if e0 > offsets[r0] { r0 + 1 } else { r0 };
-            let v1 = if e1 > offsets[r1] { r1 + 1 } else { r1 };
-            for (v, &off) in (v0..v1).zip(&offsets[v0..v1]) {
-                // SAFETY: owned-row ranges tile 0..n across segments.
-                unsafe { (*offs_base.get().add(v)).write(off) };
-            }
-            if e1 > e0 {
-                // SAFETY: entry ranges are disjoint across segments.
-                let slot =
-                    unsafe { std::slice::from_raw_parts_mut(data_base.get().add(e0), e1 - e0) };
-                fill(e0..e1, slot);
-            }
-        });
-    }
+        if e1 > e0 {
+            // SAFETY: entry ranges are disjoint across segments.
+            let slot = unsafe { std::slice::from_raw_parts_mut(data_base.get().add(e0), e1 - e0) };
+            fill(e0..e1, slot);
+        }
+    });
     // SAFETY: the owned-row ranges tile the offsets buffer and the entry
     // ranges tile the arena; a panic on any segment propagates before
     // these lines.
@@ -1121,22 +1097,17 @@ pub fn fill_sharded<T: Send>(
     let n = plan.n_vertices();
     out.clear();
     out.reserve(n);
-    let spare = &mut out.spare_capacity_mut()[..n];
-    if plan.n_shards() <= 1 {
-        fill(0, spare);
-    } else {
-        let base = SendPtr::new(spare.as_mut_ptr());
-        for_each_shard(pool, plan.n_shards(), &|s| {
-            let range = plan.range(s);
-            if range.is_empty() {
-                return;
-            }
-            // SAFETY: shard ranges are disjoint sub-slices of `spare`.
-            let slot =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
-            fill(range.start, slot);
-        });
-    }
+    let base = SendPtr::new(out.spare_capacity_mut()[..n].as_mut_ptr());
+    for_each_shard(pool, plan.n_shards(), &|s| {
+        let range = plan.range(s);
+        if range.is_empty() {
+            return;
+        }
+        // SAFETY: shard ranges are disjoint sub-slices of the spare capacity.
+        let slot =
+            unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
+        fill(range.start, slot);
+    });
     // SAFETY: every shard writes its full slice (one element per index); a
     // panic on any shard propagates out of `for_each_shard` before this
     // line, leaving the length untouched.

@@ -9,7 +9,7 @@
 
 use crate::encode::encoded_bits;
 use crate::fingerprint::Fingerprint;
-use cgc_cluster::{ClusterNet, VertexId};
+use cgc_cluster::{fold_rows_segmented, ClusterNet, VertexId};
 use cgc_net::SeedStream;
 
 /// Parameters for the counting primitive.
@@ -59,27 +59,39 @@ pub struct NeighborhoodFingerprints {
 /// be computable by the link machines (paper: `P_v` known to the machines
 /// of `V(v)`). Charges one full aggregation round with compressed
 /// fingerprint messages (pipelined if the encoding exceeds the budget).
+///
+/// Sampling and aggregation both run on `net`'s executor: each vertex
+/// samples from its own `rng_for(v, salt)` stream, and the coordinate-wise
+/// max (a monoid with [`Fingerprint::empty`] as identity) folds over the
+/// net's [`cgc_cluster::SegmentedPlan`], so `own`, `agg` and the charges are
+/// bit-identical at any thread count.
 pub fn neighborhood_fingerprints(
     net: &mut ClusterNet<'_>,
     t: usize,
     seeds: &SeedStream,
     salt: u64,
-    mut pred: impl FnMut(VertexId, VertexId) -> bool,
+    pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> NeighborhoodFingerprints {
-    let n = net.g.n_vertices();
-    let own: Vec<Fingerprint> = (0..n)
-        .map(|v| Fingerprint::sample(&mut seeds.rng_for(v as u64, salt), t))
-        .collect();
+    let own: Vec<Fingerprint> =
+        net.par_vertex_map(|v| Fingerprint::sample(&mut seeds.rng_for(v as u64, salt), t));
 
-    let mut agg: Vec<Fingerprint> = (0..n).map(|_| Fingerprint::empty(t)).collect();
-    for (u, v) in net.g.h_edges() {
-        if pred(v, u) {
-            agg[v].merge(&own[u]);
-        }
-        if pred(u, v) {
-            agg[u].merge(&own[v]);
-        }
-    }
+    let mut agg = Vec::new();
+    let (offsets, adj) = net.g.adjacency_csr();
+    fold_rows_segmented(
+        &mut agg,
+        net.segmented_plan(),
+        net.worker_pool(),
+        offsets,
+        |_| Fingerprint::empty(t),
+        |v, es, acc| {
+            for &u in &adj[es] {
+                if pred(v, u) {
+                    acc.merge(&own[u]);
+                }
+            }
+        },
+        |acc, part| acc.merge(&part),
+    );
 
     // Charge with the actual compressed sizes: the query is a single
     // element's vector, the converge-cast carries partial aggregates.
@@ -100,68 +112,6 @@ pub fn neighborhood_fingerprints(
     NeighborhoodFingerprints { own, agg }
 }
 
-/// Lemma 9.4 weighted counting: every vertex estimates
-/// `W_v = Σ_{u ∈ N(v)} α(v,u) · x_u` for `2^{-b}`-integral weights
-/// `x_u = k_u / 2^b` and link-computable gates `α ∈ {0,1}`.
-///
-/// Mechanism (the paper's duplication trick): vertex `u` contributes the
-/// maxima of `k_u` independent sample vectors — as if `k_u` copies of `u`
-/// participated — so the Lemma 5.2 estimate returns `2^b · W_v`, which is
-/// rescaled. Charges one compressed-fingerprint aggregation round
-/// (`O(ξ^{-2} + (log b + log Δ)/log n)` rounds after pipelining, matching
-/// the lemma).
-pub fn approx_weighted_count(
-    net: &mut ClusterNet<'_>,
-    t: usize,
-    seeds: &SeedStream,
-    salt: u64,
-    k_u: &[u64],
-    b: u32,
-    mut gate: impl FnMut(VertexId, VertexId) -> bool,
-) -> Vec<f64> {
-    let n = net.g.n_vertices();
-    assert_eq!(k_u.len(), n, "one weight numerator per vertex");
-    // Duplicated sample vectors: max of k_u independent vectors. Each
-    // coordinate max of k geometrics is sampled directly by iterating —
-    // k_u is at most 2^b which the caller keeps polynomial.
-    let own: Vec<Fingerprint> = (0..n)
-        .map(|v| {
-            let mut rng = seeds.rng_for(v as u64, salt ^ 0x9B4);
-            let mut acc = Fingerprint::empty(t);
-            for _ in 0..k_u[v].min(1 << 16) {
-                acc.merge(&Fingerprint::sample(&mut rng, t));
-            }
-            acc
-        })
-        .collect();
-
-    let mut agg: Vec<Fingerprint> = (0..n).map(|_| Fingerprint::empty(t)).collect();
-    for (u, v) in net.g.h_edges() {
-        if gate(v, u) {
-            agg[v].merge(&own[u]);
-        }
-        if gate(u, v) {
-            agg[u].merge(&own[v]);
-        }
-    }
-    let qbits = own
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    let rbits = agg
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    net.charge_broadcast(qbits);
-    net.charge_link_round(qbits);
-    net.charge_converge(rbits);
-
-    let scale = 2f64.powi(b as i32);
-    agg.iter().map(|f| f.estimate() / scale).collect()
-}
-
 /// Lemma 5.7: every vertex estimates the number of neighbors satisfying
 /// its predicate within `(1 ± ξ)`, w.h.p.
 pub fn approx_count_neighbors(
@@ -169,7 +119,7 @@ pub fn approx_count_neighbors(
     params: &CountingParams,
     seeds: &SeedStream,
     salt: u64,
-    pred: impl FnMut(VertexId, VertexId) -> bool,
+    pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Vec<f64> {
     let t = params.trials(net.g.n_vertices());
     let fps = neighborhood_fingerprints(net, t, seeds, salt, pred);
@@ -245,49 +195,6 @@ mod tests {
         // 128-trial fingerprints encode to ~O(t) bits; with a 32·log n
         // budget the round may pipeline but must stay bounded.
         assert!(r.h_rounds < 100, "h_rounds {}", r.h_rounds);
-    }
-
-    /// Lemma 9.4: weighted estimates track `Σ α·x_u` for dyadic weights.
-    #[test]
-    fn weighted_count_tracks_dyadic_weights() {
-        let h = clique_h(60);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
-        let seeds = SeedStream::new(81);
-        let b = 2u32; // weights in quarters
-                      // Vertex u has weight (u % 4 + 1) / 4.
-        let k_u: Vec<u64> = (0..60).map(|u| (u % 4 + 1) as u64).collect();
-        let est = approx_weighted_count(&mut net, 2048, &seeds, 0, &k_u, b, |_, _| true);
-        for (v, &e) in est.iter().enumerate() {
-            let truth: f64 = (0..60)
-                .filter(|&u| u != v)
-                .map(|u| (u % 4 + 1) as f64 / 4.0)
-                .sum();
-            let err = (e - truth).abs() / truth;
-            assert!(err < 0.3, "v={v}: est {e} vs {truth}");
-        }
-    }
-
-    #[test]
-    fn weighted_count_respects_gate() {
-        let h = clique_h(40);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
-        let seeds = SeedStream::new(82);
-        let k_u = vec![1u64; 40];
-        let est = approx_weighted_count(&mut net, 1024, &seeds, 1, &k_u, 0, |_, u| u < 20);
-        // Weight 1 each, only the 20 low-id neighbors count.
-        for (v, &e) in est.iter().enumerate().skip(20) {
-            let err = (e - 20.0).abs() / 20.0;
-            assert!(err < 0.5, "v={v}: est {e}");
-        }
-    }
-
-    #[test]
-    fn zero_weights_estimate_zero() {
-        let h = clique_h(10);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
-        let seeds = SeedStream::new(83);
-        let est = approx_weighted_count(&mut net, 256, &seeds, 2, &[0u64; 10], 3, |_, _| true);
-        assert!(est.iter().all(|&e| e == 0.0));
     }
 
     #[test]

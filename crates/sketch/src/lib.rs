@@ -22,9 +22,7 @@ pub mod estimate;
 pub mod fingerprint;
 pub mod geometric;
 
-pub use counting::{
-    approx_count_neighbors, approx_weighted_count, neighborhood_fingerprints, CountingParams,
-};
+pub use counting::{approx_count_neighbors, neighborhood_fingerprints, CountingParams};
 pub use encode::{decode_maxima, encode_maxima, encoded_bits};
 pub use estimate::estimate_count;
 pub use fingerprint::Fingerprint;
