@@ -16,9 +16,9 @@
 //! Besides timing, the binary **asserts** the server's contract:
 //!
 //! * every served outcome is **bit-identical** (coloring + cost report)
-//!   to a standalone [`Session`] run with the same spec, seed and
-//!   thread count — checked for every distinct `(spec, seed)` pair the
-//!   traffic produced;
+//!   to a standalone [`Session`](cgc_core::Session) run with the same
+//!   spec, seed and thread count — checked for every distinct
+//!   `(spec, seed)` pair the traffic produced;
 //! * the steady-state hot phase performs **no rebuild**: the server's
 //!   build counter must not move once the hot set is resident (the
 //!   cache-hit path never rebuilds);

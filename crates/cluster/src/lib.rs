@@ -51,13 +51,13 @@ pub use exec::{
     execute_broadcast, execute_broadcast_with, execute_converge, execute_converge_with,
     execute_full_round, execute_full_round_with, execute_link_exchange, ExecTrace,
 };
-pub use graph::{BuildTimings, ClusterGraph, DeltaReport, RepairStats, SupportTree, VertexId};
+pub use graph::{BuildTimings, ClusterGraph, DeltaReport, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
 pub use palette::{palette_sweep, PaletteSweep};
 pub use par::{
     available_threads, fill_segmented_with_offsets, fold_rows_segmented, map_reduce_on,
-    merge_sorted_runs, run_waves, total_scoped_threads_spawned, ParallelConfig, SegmentedPlan,
-    ShardPlan, WaveSchedule, WaveStats, WorkerPool,
+    merge_sorted_runs, total_scoped_threads_spawned, ParallelConfig, SegmentedPlan, ShardPlan,
+    WorkerPool,
 };
 pub use prefix::{dfs_preorder, prefix_sums, prefix_sums_into, OrderedTree};

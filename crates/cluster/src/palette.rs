@@ -6,10 +6,9 @@
 //! — using the packed word kernels of [`cgc_net::bits`].
 //!
 //! The sweep only reads the coloring and writes one output slot per
-//! vertex, so it needs no conflict-free schedule: it shards the vertices
-//! over the graph's row-granular [`ShardPlan`] (balanced by CSR row mass,
-//! since each vertex walks its row) and runs the shards on the persistent
-//! pool. The result is a pure function of `(graph, colors)` —
+//! vertex, so it simply shards the vertices over the graph's
+//! row-granular [`ShardPlan`] (balanced by CSR row mass, since each
+//! vertex walks its row) and runs the shards on the persistent pool. The result is a pure function of `(graph, colors)` —
 //! bit-identical to the serial sweep at any thread count, which is what
 //! lets callers assert equality across thread sweeps.
 //!

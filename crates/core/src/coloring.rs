@@ -65,7 +65,7 @@ impl Coloring {
     }
 
     /// The raw per-vertex assignment slice (index `v` = color of `v`) —
-    /// the read-only view the wave-scheduled palette sweeps consume.
+    /// the read-only view [`cgc_cluster::palette_sweep`] consumes.
     #[inline]
     pub fn colors(&self) -> &[Option<Color>] {
         &self.colors

@@ -28,7 +28,7 @@
 //!   timings and thread context. Preferred over calling the driver
 //!   directly;
 //! * [`serve`] — the multi-tenant session server:
-//!   [`SessionServer`](serve::SessionServer) multiplexes concurrent run
+//!   [`SessionServer`] multiplexes concurrent run
 //!   requests over the shared worker pool with a content-addressed graph
 //!   cache (LRU byte/entry budget), single-flight builds and admission
 //!   control on cold builds. Served runs are bit-identical to standalone
@@ -69,7 +69,6 @@ pub mod palette_query;
 pub mod params;
 pub mod putaside;
 pub mod rounds;
-pub mod schedule;
 pub mod sct;
 pub mod serve;
 pub mod session;
@@ -84,7 +83,6 @@ pub use driver::{
 pub use mutate::MutationOutcome;
 pub use palette_query::CliquePalette;
 pub use params::{Ablation, Params};
-pub use schedule::ColorSchedule;
 pub use serve::{DeltaRequestError, ServeOutcome, ServerConfig, ServerStats, SessionServer};
 pub use session::{PaletteQueryOutcome, ParamsProfile, RunOutcome, Session, SessionBuilder};
 pub use validate::{coloring_stats, ColoringStats};

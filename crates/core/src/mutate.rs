@@ -14,40 +14,34 @@
 //! * every vertex that was uncolored to begin with (first mutation on a
 //!   session that never ran, or a prior failed apply).
 //!
-//! The dirty vertices are then re-colored in two stages. When the caller
-//! supplies a [`ColorSchedule`] (the previous coloring, materialized as
-//! waves — see [`crate::schedule`]), a **wave sweep** runs first: the
-//! dirty vertices group by their *previous* color class, and each class
-//! dispatches one wave over the worker pool, every worker computing
-//! first-fit candidates for a disjoint slice with read-only access to the
-//! frozen coloring. Because the previous coloring was proper only on the
-//! *pre-delta* graph, two same-wave vertices may now be adjacent through
-//! an inserted edge — so the commit is a serial ascending-id pass that
-//! re-checks each candidate against the colors already committed this
-//! wave and defers losers. Each non-empty wave charges one full
-//! aggregation round (the same analytic formula as the fallback), on the
-//! calling thread. Whatever the sweep leaves uncolored falls through to
-//! the driver's charged exact-palette loop ([`fallback_until_total`]),
-//! under the same phase tag `"recolor"`; the result is asserted total,
-//! proper, and within `Δ' + 1` colors. Costs land in a fresh
-//! [`CostMeter`](cgc_net::CostMeter), so the returned [`CostReport`] is
-//! the *incremental* price of the update — the quantity `bench_mutations`
-//! compares against a full rebuild + full recolor.
+//! The dirty vertices are then re-colored in two stages. When the
+//! previous coloring is total and sized to the graph, a **first-fit
+//! sweep** runs first: the dirty vertices group by their *previous*
+//! color (ascending by id within a group), and each non-empty group computes first-fit candidates for all
+//! its vertices against the coloring frozen at the start of the group.
+//! Because the previous coloring was proper only on the *pre-delta*
+//! graph, two vertices of one group may now be adjacent through an
+//! inserted edge — so the commit is an ascending-id pass that re-checks
+//! each candidate against the colors already committed in the group and
+//! defers losers. Each non-empty group charges one full aggregation round
+//! (the same analytic formula as the fallback). Whatever the sweep leaves
+//! uncolored falls through to the driver's charged exact-palette loop
+//! (`fallback_until_total`), under the same phase tag `"recolor"`; the
+//! result is asserted total, proper, and within `Δ' + 1` colors. Costs
+//! land in a fresh [`CostMeter`](cgc_net::CostMeter), so the returned
+//! [`CostReport`] is the *incremental* price of the update — the quantity
+//! `bench_mutations` compares against a full rebuild + full recolor.
 //!
 //! All randomness flows from the caller's seed through a dedicated salt,
-//! and the wave sweep is deterministic outright (first-fit candidates
-//! from a frozen state, serial commit), so a mutation outcome is a pure
-//! function of `(graph, previous coloring, schedule, reports, seed)` —
-//! bit-identical at any thread count like every other pass.
+//! and the sweep is deterministic outright (first-fit candidates from a
+//! frozen state, ascending commit), so a mutation outcome is a pure
+//! function of `(graph, previous coloring, reports, seed)` — bit-identical
+//! at any thread count like every other pass.
 
 use crate::coloring::Coloring;
 use crate::driver::fallback_until_total;
-use crate::schedule::ColorSchedule;
 use crate::validate::coloring_stats;
-use cgc_cluster::par::SendPtr;
-use cgc_cluster::{
-    run_waves, BitsScratch, ClusterGraph, ClusterNet, DeltaReport, ParallelConfig, WorkerPool,
-};
+use cgc_cluster::{BitsScratch, ClusterGraph, ClusterNet, DeltaReport, ParallelConfig};
 use cgc_net::{CostReport, SeedStream};
 
 /// Stage tag separating recolor randomness from the driver's numbered
@@ -87,22 +81,19 @@ pub struct MutationOutcome {
     /// Vertices actually colored by the recolor loop (equals
     /// `dirty_vertices` on success).
     pub recolored: usize,
-    /// Charged rounds the recolor loop consumed (wave sweep + fallback).
+    /// Charged rounds the recolor loop consumed (first-fit sweep +
+    /// fallback).
     pub recolor_rounds: u64,
-    /// Non-empty waves the scheduled recolor sweep dispatched (0 when no
-    /// schedule was available — a session that never ran).
+    /// Non-empty previous-color groups the first-fit sweep ran; 0 when the
+    /// session held no total coloring.
     pub waves_run: usize,
-    /// Dirty vertices in the fullest recolor wave.
+    /// Dirty vertices in the largest previous-color group.
     pub largest_wave: usize,
-    /// Dirty vertices colored by the wave sweep (first-fit in their
-    /// previous color class's wave).
+    /// Dirty vertices colored by the first-fit sweep.
     pub wave_recolored: usize,
     /// Dirty vertices left to the exact-palette fallback loop
     /// (`wave_recolored + fallback_recolored == recolored`).
     pub fallback_recolored: usize,
-    /// Non-empty waves the scheduled support-tree repair grouped dirty
-    /// clusters into, summed over the batches (0 when unscheduled).
-    pub repair_waves: usize,
     /// Cost-meter snapshot of the recolor pass alone (phase
     /// `"recolor"`) — the incremental price of the update.
     pub report: CostReport,
@@ -134,14 +125,12 @@ pub(crate) struct RecolorResult {
 
 /// Recolors the dirty region of `graph` after the deltas described by
 /// `reports`, seeding from `previous` (a proper total coloring of the
-/// pre-delta instance; `None` forces a full recolor). When `schedule`
-/// materializes the previous coloring, the conflict-resolution sweep runs
-/// wave-parallel before the fallback — see the [module docs](self). A
-/// schedule sized to a different vertex count is ignored.
+/// pre-delta instance; `None` forces a full recolor). When `previous` is
+/// total and sized to `graph`, the first-fit sweep runs before the
+/// fallback — see the [module docs](self).
 pub(crate) fn recolor_dirty(
     graph: &ClusterGraph,
     previous: Option<&Coloring>,
-    schedule: Option<&ColorSchedule>,
     reports: &[DeltaReport],
     beta: u64,
     parallel: ParallelConfig,
@@ -149,8 +138,9 @@ pub(crate) fn recolor_dirty(
 ) -> RecolorResult {
     let n = graph.n_vertices();
     let q = graph.max_degree() + 1;
+    let previous = previous.filter(|p| p.len() == n);
     let mut coloring = Coloring::new(n, q);
-    if let Some(prev) = previous.filter(|p| p.len() == n) {
+    if let Some(prev) = previous {
         for v in 0..n {
             if let Some(c) = prev.get(v) {
                 if c < q {
@@ -178,73 +168,38 @@ pub(crate) fn recolor_dirty(
     let dirty_vertices = n - coloring.n_colored();
     let mut net = ClusterNet::with_log_budget_parallel(graph, beta, parallel);
     net.set_phase("recolor");
-    // Stage 1 — wave sweep: dirty vertices grouped by their previous
-    // color class run one wave at a time. Candidates are first-fit
-    // (smallest available color — deterministic, and with `q = Δ' + 1`
-    // the palette is never empty) computed in parallel against the
-    // coloring frozen at wave start; the serial ascending commit then
-    // re-checks each candidate against colors committed earlier in the
-    // same wave, deferring losers to the fallback. Vertices with no
-    // previous color (never-colored sessions, out-of-range colors) have
-    // no meaningful class and go straight to the fallback too.
+    // Stage 1 — first-fit sweep over the dirty vertices grouped by their
+    // previous color. Candidates are first-fit (smallest available color
+    // — deterministic, and with `q = Δ' + 1` the palette is never empty)
+    // computed against the coloring frozen at group start; the ascending
+    // commit then re-checks each candidate against colors committed
+    // earlier in the same group, deferring losers to the fallback.
     let mut waves_run = 0usize;
     let mut largest_wave = 0usize;
     let mut wave_recolored = 0usize;
-    let mut wave_rounds = 0u64;
-    if let Some(sched) = schedule.filter(|s| s.waves().n_items() == n && dirty_vertices > 0) {
-        let pool = WorkerPool::global(parallel.threads());
-        let mut wave: Vec<usize> = Vec::new();
+    if let Some(prev) = previous.filter(|p| p.is_total() && dirty_vertices > 0) {
+        // A stable sort keeps ids ascending within each previous color.
+        let mut dirty = coloring.uncolored();
+        dirty.sort_by_key(|&v| prev.get(v));
+        let mut scratch = BitsScratch::new();
         let mut cand: Vec<usize> = Vec::new();
-        for class in 0..sched.n_classes() {
-            wave.clear();
-            wave.extend(
-                sched
-                    .class(class)
-                    .iter()
-                    .copied()
-                    .filter(|&v| !coloring.is_colored(v)),
-            );
-            if wave.is_empty() {
-                continue;
-            }
+        for group in dirty.chunk_by(|&a, &b| prev.get(a) == prev.get(b)) {
             waves_run += 1;
-            largest_wave = largest_wave.max(wave.len());
-            wave_rounds += 1;
+            largest_wave = largest_wave.max(group.len());
             net.charge_full_rounds(1, (q as u64).min(4 * net.meter.budget_bits()));
             cand.clear();
-            cand.resize(wave.len(), usize::MAX);
-            {
-                let base = SendPtr::new(cand.as_mut_ptr());
-                let coloring = &coloring;
-                run_waves(
-                    pool.as_deref(),
-                    parallel.threads(),
-                    &[0, wave.len()],
-                    &wave,
-                    &|_w, base_idx, slice| {
-                        // One packed scratch per slice, reset per vertex
-                        // in O(q/64) — the first-fit candidate is a word
-                        // scan, no free-list materialization.
-                        let mut scratch = BitsScratch::new();
-                        for (i, &v) in slice.iter().enumerate() {
-                            let col = coloring
-                                .first_fit_color(graph, v, &mut scratch)
-                                .expect("q = Δ' + 1 palettes are never empty");
-                            // SAFETY: candidate slot `base_idx + i` is
-                            // owned by exactly this item of this slice.
-                            unsafe { *base.get().add(base_idx + i) = col };
-                        }
-                    },
-                );
-            }
-            for (i, &v) in wave.iter().enumerate() {
-                let col = cand[i];
+            cand.extend(group.iter().map(|&v| {
+                coloring
+                    .first_fit_color(graph, v, &mut scratch)
+                    .expect("q = Δ' + 1 palettes are never empty")
+            }));
+            for (&v, &col) in group.iter().zip(&cand) {
                 if graph
                     .neighbors(v)
                     .iter()
                     .any(|&u| coloring.get(u) == Some(col))
                 {
-                    // A same-wave neighbor (adjacent only through an
+                    // A same-group neighbor (adjacent only through an
                     // inserted edge) committed this color first.
                     continue;
                 }
@@ -268,7 +223,7 @@ pub(crate) fn recolor_dirty(
         report: net.meter.report(),
         dirty_vertices,
         recolored: wave_recolored + fallback_recolored,
-        rounds: wave_rounds + fb_rounds,
+        rounds: waves_run as u64 + fb_rounds,
         waves_run,
         largest_wave,
         wave_recolored,
@@ -293,7 +248,7 @@ mod tests {
     fn clean_previous_coloring_means_zero_dirty_vertices() {
         let mut g = two_triangles();
         let prev = {
-            let res = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 1);
+            let res = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 1);
             assert_eq!(res.dirty_vertices, 6);
             res.coloring
         };
@@ -303,15 +258,7 @@ mod tests {
             .apply_delta(&DeltaBatch::new(6, &[], &[(2, 3)]).unwrap())
             .unwrap();
         let reports = [report];
-        let res = recolor_dirty(
-            &g,
-            Some(&prev),
-            None,
-            &reports,
-            32,
-            ParallelConfig::serial(),
-            2,
-        );
+        let res = recolor_dirty(&g, Some(&prev), &reports, 32, ParallelConfig::serial(), 2);
         if g.max_degree() + 1 == prev.q() {
             assert_eq!(res.dirty_vertices, 0);
             assert_eq!(res.rounds, 0);
@@ -322,7 +269,7 @@ mod tests {
     #[test]
     fn inserted_conflict_uncolors_only_the_larger_endpoint() {
         let g = two_triangles();
-        let full = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 3);
+        let full = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 3);
         // Find two same-colored non-adjacent vertices and insert the edge.
         let prev = full.coloring;
         let (u, v) = (0..6)
@@ -335,15 +282,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.h_inserted, vec![(u.min(v), u.max(v))]);
         let reports = [report];
-        let res = recolor_dirty(
-            &g2,
-            Some(&prev),
-            None,
-            &reports,
-            32,
-            ParallelConfig::serial(),
-            4,
-        );
+        let res = recolor_dirty(&g2, Some(&prev), &reports, 32, ParallelConfig::serial(), 4);
         if g2.max_degree() + 1 == prev.q() {
             assert_eq!(res.dirty_vertices, 1, "only the larger endpoint yields");
             assert_eq!(res.coloring.get(u.min(v)), prev.get(u.min(v)));
@@ -367,28 +306,16 @@ mod tests {
             .unwrap();
         assert_eq!(g.max_degree(), 2);
         let reports = [report];
-        let res = recolor_dirty(
-            &g,
-            Some(&prev),
-            None,
-            &reports,
-            32,
-            ParallelConfig::serial(),
-            5,
-        );
+        let res = recolor_dirty(&g, Some(&prev), &reports, 32, ParallelConfig::serial(), 5);
         assert!(res.dirty_vertices >= 1, "color 4 is out of range at q = 3");
         assert!(res.coloring.is_total() && res.coloring.is_proper(&g));
         assert_eq!(res.coloring.q(), 3);
     }
 
     #[test]
-    fn scheduled_sweep_colors_dirty_vertices_by_previous_class() {
-        use crate::schedule::ColorSchedule;
+    fn sweep_colors_dirty_vertices_by_previous_class() {
         let g = two_triangles();
-        let prev = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 9).coloring;
-        // The schedule materializes on the pre-delta graph, where `prev`
-        // is proper — exactly the session flow.
-        let sched = ColorSchedule::build(&g, &prev, &ParallelConfig::serial());
+        let prev = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 9).coloring;
         let mut g2 = g.clone();
         let report = g2
             .apply_delta(&DeltaBatch::new(6, &[(0, 4), (1, 5)], &[(2, 3)]).unwrap())
@@ -399,7 +326,6 @@ mod tests {
             let res = recolor_dirty(
                 &g2,
                 Some(&prev),
-                Some(&sched),
                 &reports,
                 32,
                 ParallelConfig::with_threads(threads),
@@ -409,7 +335,7 @@ mod tests {
             assert_eq!(res.wave_recolored + res.fallback_recolored, res.recolored);
             assert_eq!(res.recolored, res.dirty_vertices);
             if res.dirty_vertices > 0 && g2.max_degree() + 1 == prev.q() {
-                assert!(res.waves_run >= 1, "dirty vertices must form waves");
+                assert!(res.waves_run >= 1, "dirty vertices must form groups");
                 assert!(res.largest_wave >= 1);
             }
             match &reference {
@@ -424,10 +350,40 @@ mod tests {
         }
     }
 
+    /// Two dirty vertices of one previous-color group, adjacent only
+    /// through an inserted edge, compute the same frozen first-fit
+    /// candidate: the smaller id commits it, the larger id is deferred to
+    /// the fallback.
+    #[test]
+    fn same_group_conflict_defers_the_larger_id() {
+        // Vertices 0..4 share color 1; hubs 4 and 5 hold colors 0 and 2.
+        let comm = CommGraph::from_edges(6, &[(0, 4), (1, 4), (2, 5), (3, 5), (4, 5)]).unwrap();
+        let mut g = ClusterGraph::singletons(comm);
+        let mut prev = Coloring::new(6, g.max_degree() + 1);
+        for (v, c) in [(0, 1), (1, 1), (2, 1), (3, 1), (4, 0), (5, 2)] {
+            prev.set(v, c);
+        }
+        assert!(prev.is_proper(&g));
+        // (0, 2) and (1, 3) dirty 2 and 3; (2, 3) makes them adjacent.
+        let report = g
+            .apply_delta(&DeltaBatch::new(6, &[(0, 2), (1, 3), (2, 3)], &[]).unwrap())
+            .unwrap();
+        assert_eq!(g.max_degree() + 1, prev.q());
+        let res = recolor_dirty(&g, Some(&prev), &[report], 32, ParallelConfig::serial(), 11);
+        assert_eq!(res.dirty_vertices, 2);
+        assert_eq!((res.waves_run, res.largest_wave), (1, 2));
+        assert_eq!((res.wave_recolored, res.fallback_recolored), (1, 1));
+        // Both froze candidate 0; vertex 2 kept it.
+        assert_eq!(res.coloring.get(2), Some(0));
+        // Vertex 3's neighbors now hold 0, 1 and 2: the fallback gave it 3.
+        assert_eq!(res.coloring.get(3), Some(3));
+        assert!(res.coloring.is_total() && res.coloring.is_proper(&g));
+    }
+
     #[test]
     fn recolor_is_thread_count_independent() {
         let mut g = two_triangles();
-        let prev = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 7).coloring;
+        let prev = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 7).coloring;
         let report = g
             .apply_delta(&DeltaBatch::new(6, &[(0, 4), (1, 5)], &[(2, 3)]).unwrap())
             .unwrap();
@@ -437,7 +393,6 @@ mod tests {
             let res = recolor_dirty(
                 &g,
                 Some(&prev),
-                None,
                 &reports,
                 32,
                 ParallelConfig::with_threads(threads),

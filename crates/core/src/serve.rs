@@ -24,11 +24,11 @@
 //!   evicted).
 //!
 //! Served runs go through the same
-//! [`run_coloring_on`](crate::session) path as [`Session::run`], so a
-//! served [`RunOutcome`] is **bit-identical** (coloring and cost
-//! report) to a standalone session with the same spec, seed and thread
-//! count — the differential the traffic bench and the concurrency tests
-//! pin.
+//! [`run_coloring_on`](crate::session) path as
+//! [`Session::run`](crate::Session::run), so a served [`RunOutcome`] is
+//! **bit-identical** (coloring and cost report) to a standalone session
+//! with the same spec, seed and thread count — the differential the
+//! traffic bench and the concurrency tests pin.
 //!
 //! Two multi-request forms ride on the same machinery:
 //!
@@ -43,11 +43,10 @@
 //!   spec's current epoch — so a cache hit can never serve a stale
 //!   pre-delta graph. Evicted mutated entries rebuild by replaying the
 //!   recorded delta history over a fresh base build (deterministic, so
-//!   the replay is byte-identical to the evicted graph). When the spec's
-//!   latest run left a coloring at the mutated epoch, the mutation runs
-//!   its dirty-cluster repair **wave-parallel** through a
-//!   [`crate::ColorSchedule`] built from that coloring — byte-identical
-//!   to the serial path, counted in [`ServerStats::scheduled_mutations`].
+//!   the replay is byte-identical to the evicted graph). A write patches
+//!   only the graph ([`ClusterGraph::apply_delta_with`]); the next run of
+//!   the spec colors the mutated instance from scratch, exactly as a
+//!   standalone session built from the replayed history would.
 //!
 //! ```
 //! use cgc_core::{ServerConfig, SessionServer};
@@ -60,11 +59,9 @@
 //! assert_eq!(server.stats().builds_started, 1);
 //! ```
 
-use crate::coloring::Coloring;
 use crate::params::Params;
-use crate::schedule::ColorSchedule;
 use crate::session::{derive_params, run_coloring_on, ParamsProfile, RunOutcome};
-use cgc_cluster::{available_threads, ClusterGraph, ParallelConfig, RepairStats};
+use cgc_cluster::{available_threads, ClusterGraph, ParallelConfig};
 use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
 use std::collections::HashMap;
@@ -208,14 +205,6 @@ pub struct ServerStats {
     pub cached_entries: usize,
     /// Approximate heap bytes currently charged to the cache.
     pub cached_bytes: usize,
-    /// [`SessionServer::apply_deltas`] calls that ran through the color
-    /// schedule of the spec's latest served run (the wave-parallel
-    /// mutation path). Mutations of a spec that was never run — no
-    /// published coloring — stay serial and are not counted here.
-    pub scheduled_mutations: u64,
-    /// Non-empty repair waves dispatched by scheduled mutations, summed
-    /// over their batches.
-    pub repair_waves: u64,
 }
 
 /// A built instance plus everything derived from it, shared by every
@@ -246,12 +235,6 @@ struct CacheState {
     /// history length. Cold builds at epoch > 0 replay it over a fresh
     /// base build.
     deltas: HashMap<String, Arc<Vec<DeltaBatch>>>,
-    /// The coloring of each spec's latest served run, stamped with the
-    /// delta epoch it was computed at. A mutation arriving at the same
-    /// epoch materializes it into a [`ColorSchedule`] and repairs
-    /// wave-parallel; a mutation at any other epoch ignores it (the
-    /// entry is stale) and the commit drops it.
-    colorings: HashMap<String, (u64, Coloring)>,
     /// Monotone logical clock stamping `last_used`.
     clock: u64,
     ready_bytes: usize,
@@ -291,8 +274,6 @@ pub struct SessionServer {
     cache_misses: AtomicU64,
     coalesced_waits: AtomicU64,
     evictions: AtomicU64,
-    scheduled_mutations: AtomicU64,
-    repair_waves: AtomicU64,
 }
 
 impl std::fmt::Debug for SessionServer {
@@ -327,8 +308,6 @@ impl SessionServer {
             cache_misses: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            scheduled_mutations: AtomicU64::new(0),
-            repair_waves: AtomicU64::new(0),
         }
     }
 
@@ -348,14 +327,6 @@ impl SessionServer {
             self.cfg.oracle_acd,
             seed,
         );
-        if run.coloring.is_total() && run.coloring.len() == acq.inst.graph.n_vertices() {
-            // Publish the coloring for this (spec, epoch): the next
-            // mutation materializes it into a wave schedule.
-            let mut state = self.state.lock().unwrap();
-            state
-                .colorings
-                .insert(base.to_owned(), (acq.epoch, run.coloring.clone()));
-        }
         let setup_or_zero = |secs: f64| if treat_cached { 0.0 } else { secs };
         ServeOutcome {
             outcome: RunOutcome {
@@ -436,13 +407,6 @@ impl SessionServer {
     ///
     /// Concurrent mutations of the same spec are safe (the commit
     /// revalidates the epoch it mutated and retries on interleaving).
-    ///
-    /// When the spec's latest served run left a coloring at the acquired
-    /// epoch, the mutation materializes it into a [`ColorSchedule`] and
-    /// repairs dirty clusters wave-parallel
-    /// ([`ClusterGraph::apply_delta_scheduled`]); the published graph is
-    /// byte-identical to the serial path, and [`Self::stats`] counts the
-    /// scheduled calls and their repair waves.
     pub fn apply_deltas(
         &self,
         spec: &WorkloadSpec,
@@ -451,27 +415,9 @@ impl SessionServer {
         let base = spec.to_string();
         loop {
             let acq = self.acquire(spec, &base);
-            // The latest served run's coloring, if it matches the epoch
-            // we acquired, schedules this mutation's repair waves. The
-            // result is byte-identical to the serial path either way.
-            let run_coloring = {
-                let state = self.state.lock().unwrap();
-                state.colorings.get(&base).and_then(|(epoch, coloring)| {
-                    (*epoch == acq.epoch && coloring.len() == acq.inst.graph.n_vertices())
-                        .then(|| coloring.clone())
-                })
-            };
-            let schedule =
-                run_coloring.map(|c| ColorSchedule::build(&acq.inst.graph, &c, &self.cfg.parallel));
             let mut graph = acq.inst.graph.clone();
-            let mut repair = RepairStats::default();
             for batch in batches {
-                let (_, stats) = graph.apply_delta_scheduled(
-                    batch,
-                    &self.cfg.parallel,
-                    schedule.as_ref().map(|s| s.waves()),
-                )?;
-                repair.absorb(stats);
+                graph.apply_delta_with(batch, &self.cfg.parallel)?;
             }
             let params = derive_params(self.cfg.profile, graph.n_vertices(), None, None);
             let bytes = graph.approx_heap_bytes();
@@ -491,14 +437,6 @@ impl SessionServer {
             let history = Arc::make_mut(state.deltas.entry(base.clone()).or_default());
             history.extend(batches.iter().cloned());
             let new_epoch = history.len() as u64;
-            // The pre-delta coloring no longer describes the published
-            // graph; the next run republishes one at the new epoch.
-            state.colorings.remove(&base);
-            if schedule.is_some() {
-                self.scheduled_mutations.fetch_add(1, Ordering::Relaxed);
-                self.repair_waves
-                    .fetch_add(repair.waves as u64, Ordering::Relaxed);
-            }
             // Drop the stale pre-delta entry (coherence) and publish the
             // mutated one in the same critical section.
             let old_key = slot_key(&base, acq.epoch);
@@ -706,8 +644,6 @@ impl SessionServer {
             evictions: self.evictions.load(Ordering::Relaxed),
             cached_entries: state.ready_entries,
             cached_bytes: state.ready_bytes,
-            scheduled_mutations: self.scheduled_mutations.load(Ordering::Relaxed),
-            repair_waves: self.repair_waves.load(Ordering::Relaxed),
         }
     }
 }
@@ -892,11 +828,11 @@ mod tests {
         assert_eq!(server.stats().builds_started, 1, "mutation never rebuilds");
     }
 
-    /// A mutation after a served run rides the run's coloring as a wave
-    /// schedule; a mutation of a never-run spec has no coloring and
-    /// stays serial. Both publish byte-identical graphs.
+    /// Two writes to a served spec compose: the published graph equals a
+    /// standalone session that applied both batches, so runs over it are
+    /// bit-identical.
     #[test]
-    fn mutation_after_a_run_takes_the_scheduled_path() {
+    fn consecutive_writes_match_a_standalone_session() {
         let spec = "gnp:n=100,p=0.06,seed=4";
         let batch = churn_batch(spec);
         // An insert-only follow-up batch that applies on top of `batch`.
@@ -913,33 +849,26 @@ mod tests {
                 .collect();
             cgc_net::DeltaBatch::new(n, &inserts, &[]).unwrap()
         };
-        let warm = SessionServer::new(cfg());
-        warm.run_str(spec, 9).unwrap();
-        warm.apply_deltas_str(spec, std::slice::from_ref(&batch))
+        let server = SessionServer::new(cfg());
+        server.run_str(spec, 9).unwrap();
+        server
+            .apply_deltas_str(spec, std::slice::from_ref(&batch))
             .unwrap();
-        assert_eq!(
-            warm.stats().scheduled_mutations,
-            1,
-            "the run's coloring schedules the mutation"
-        );
-        // The consumed coloring is dropped at commit: a second mutation
-        // without an intervening run is serial again.
-        warm.apply_deltas_str(spec, std::slice::from_ref(&batch2))
+        let epoch = server
+            .apply_deltas_str(spec, std::slice::from_ref(&batch2))
             .unwrap();
-        assert_eq!(warm.stats().scheduled_mutations, 1);
-        // A cold server never ran the spec: no coloring, no schedule.
-        let cold = SessionServer::new(cfg());
-        cold.apply_deltas_str(spec, std::slice::from_ref(&batch))
-            .unwrap();
-        cold.apply_deltas_str(spec, std::slice::from_ref(&batch2))
-            .unwrap();
-        assert_eq!(cold.stats().scheduled_mutations, 0);
-        // Scheduled and serial mutations publish the same graph: runs
-        // over the two servers are bit-identical.
-        let a = warm.run_str(spec, 3).unwrap();
-        let b = cold.run_str(spec, 3).unwrap();
-        assert_eq!(a.outcome.run.coloring, b.outcome.run.coloring);
-        assert_eq!(a.outcome.run.report, b.outcome.run.report);
+        assert_eq!(epoch, 2);
+        let mut session = SessionBuilder::parse(spec)
+            .unwrap()
+            .parallel(ParallelConfig::serial())
+            .build();
+        session.apply_deltas(&[batch, batch2]).unwrap();
+        let direct = session.run(3);
+        let served = server.run_str(spec, 3).unwrap();
+        assert!(served.cache_hit);
+        assert_eq!(served.outcome.delta_epoch, 2);
+        assert_eq!(served.outcome.run.coloring, direct.run.coloring);
+        assert_eq!(served.outcome.run.report, direct.run.report);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! The legacy free functions
 //! [`color_cluster_graph`](crate::color_cluster_graph) /
-//! [`color_cluster_graph_with`](crate::color_cluster_graph_with) remain as
+//! [`color_cluster_graph_with`] remain as
 //! thin compatibility wrappers for callers that already hold a
 //! [`ClusterNet`]; `Session` is the preferred entry point.
 
@@ -41,10 +41,9 @@ use crate::coloring::Coloring;
 use crate::driver::{color_cluster_graph_with, DriverOptions, RunResult};
 use crate::mutate::{recolor_dirty, MutationOutcome};
 use crate::params::{Ablation, Params};
-use crate::schedule::ColorSchedule;
 use cgc_cluster::{
     available_threads, palette_sweep, ClusterGraph, ClusterNet, PaletteSweep, ParallelConfig,
-    RepairStats, WorkerPool,
+    WorkerPool,
 };
 use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
@@ -448,8 +447,8 @@ impl Session {
     /// vertices split over the graph's row-granular shard plan on the
     /// persistent pool, each worker answering count questions against a
     /// private packed [`cgc_cluster::BitsScratch`]. Because the sweep only
-    /// reads the coloring, it needs no conflict-free schedule and its
-    /// output is a pure function of `(graph, coloring)`: bit-identical to
+    /// reads the coloring, its output is a pure function of
+    /// `(graph, coloring)`: bit-identical to
     /// the serial sweep at any thread count (the equivalence suite pins
     /// this).
     ///
@@ -511,30 +510,13 @@ impl Session {
     /// coloring is dropped (it may be stale), so the next mutation or run
     /// recolors from scratch.
     pub fn apply_deltas(&mut self, batches: &[DeltaBatch]) -> Result<MutationOutcome, NetError> {
-        // The previous coloring doubles as the execution schedule: its
-        // color classes are pairwise H-disjoint on the pre-delta graph,
-        // which is exactly when the dirty support-tree repairs read
-        // disjoint G-neighborhoods. Built once here (cluster ids are
-        // stable under deltas, so one schedule serves every batch) and
-        // reused by the recolor sweep below.
-        let schedule = self
-            .coloring
-            .as_ref()
-            .filter(|c| c.is_total() && c.len() == self.graph.n_vertices())
-            .map(|c| ColorSchedule::build(&self.graph, c, &self.parallel));
         let apply_start = Instant::now();
         let mut reports = Vec::with_capacity(batches.len());
-        let mut repair = RepairStats::default();
         for batch in batches {
-            match self.graph.apply_delta_scheduled(
-                batch,
-                &self.parallel,
-                schedule.as_ref().map(|s| s.waves()),
-            ) {
-                Ok((report, stats)) => {
+            match self.graph.apply_delta_with(batch, &self.parallel) {
+                Ok(report) => {
                     self.delta_epoch += 1;
                     reports.push(report);
-                    repair.absorb(stats);
                 }
                 Err(e) => {
                     if !reports.is_empty() {
@@ -549,7 +531,6 @@ impl Session {
         let res = recolor_dirty(
             &self.graph,
             self.coloring.as_ref(),
-            schedule.as_ref(),
             &reports,
             self.beta,
             self.parallel,
@@ -579,7 +560,6 @@ impl Session {
             largest_wave: res.largest_wave,
             wave_recolored: res.wave_recolored,
             fallback_recolored: res.fallback_recolored,
-            repair_waves: repair.waves,
             report: res.report,
             coloring: res.coloring.clone(),
             apply_secs,

@@ -1319,236 +1319,6 @@ pub fn patch_csr_rows(
     (new_offsets, new_adj)
 }
 
-/// A class-indexed CSR over an item space: items carrying the same class
-/// id form one contiguous **wave**, ascending by item id within the wave.
-/// This is the executor-side shape of "a proper coloring is a conflict-free
-/// schedule": when the classes come from a proper coloring of a conflict
-/// graph, no two items in one wave conflict, so a wave can run shard-
-/// parallel with only read access to other items' state. The higher-level
-/// wrapper that actually asserts that disjointness lives in `cgc_core`
-/// (`ColorSchedule`); this type is just the partition plus the dispatch
-/// order.
-///
-/// Built shard-parallel by a two-pass counting sort; the output — items
-/// ordered by `(class, id)` — is a canonical function of `class_of` alone,
-/// so schedules are bit-identical at any thread count like every plan in
-/// this module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaveSchedule {
-    /// `n_waves + 1` entries; wave `w` spans `items[offsets[w]..offsets[w + 1]]`.
-    offsets: Vec<usize>,
-    /// Item ids ordered by `(class, id)` ascending.
-    items: Vec<usize>,
-    /// Inverse map: `class_of[item]` is the wave that runs `item`.
-    class_of: Vec<usize>,
-}
-
-impl WaveSchedule {
-    /// Builds the schedule from a per-item class assignment
-    /// (`class_of[item] < n_classes` for every item), shard-parallel under
-    /// `cfg`: each shard histograms its contiguous item range per class,
-    /// a serial prefix pass turns the `(class, shard)` counts into
-    /// disjoint scatter windows, and a second sharded pass scatters item
-    /// ids into their windows. Within a wave the windows follow shard
-    /// order — i.e. ascending item id — so the result equals the serial
-    /// stable counting sort exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when some `class_of[item] >= n_classes`.
-    pub fn from_class_ids(class_of: &[usize], n_classes: usize, cfg: &ParallelConfig) -> Self {
-        let n = class_of.len();
-        let plan = ShardPlan::even(n, cfg.threads());
-        let shards = plan.n_shards();
-        let pool = WorkerPool::global(cfg.threads());
-        // Pass 1: per-shard per-class histogram, each shard filling its
-        // own disjoint `n_classes` window.
-        let mut counts = vec![0usize; shards * n_classes];
-        {
-            let base = SendPtr::new(counts.as_mut_ptr());
-            for_each_shard(pool.as_deref(), shards, &|s| {
-                let range = plan.range(s);
-                // SAFETY: shard `s` writes only its own counts window.
-                let slot = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add(s * n_classes), n_classes)
-                };
-                for &c in &class_of[range] {
-                    assert!(
-                        c < n_classes,
-                        "class id {c} out of range (n_classes {n_classes})"
-                    );
-                    slot[c] += 1;
-                }
-            });
-        }
-        // Serial prefix: wave offsets, plus one scatter cursor per
-        // `(shard, class)` so shard windows within a wave follow shard
-        // (= ascending item) order.
-        let mut offsets = Vec::with_capacity(n_classes + 1);
-        let mut starts = vec![0usize; shards * n_classes];
-        let mut cursor = 0usize;
-        for c in 0..n_classes {
-            offsets.push(cursor);
-            for s in 0..shards {
-                starts[s * n_classes + c] = cursor;
-                cursor += counts[s * n_classes + c];
-            }
-        }
-        offsets.push(cursor);
-        debug_assert_eq!(cursor, n);
-        // Pass 2: scatter item ids into their wave windows.
-        let mut items = vec![0usize; n];
-        {
-            let items_base = SendPtr::new(items.as_mut_ptr());
-            let starts_base = SendPtr::new(starts.as_mut_ptr());
-            for_each_shard(pool.as_deref(), shards, &|s| {
-                let range = plan.range(s);
-                // SAFETY: shard `s` owns its cursor window, and the
-                // cursors address disjoint `items` ranges by construction.
-                let next = unsafe {
-                    std::slice::from_raw_parts_mut(starts_base.get().add(s * n_classes), n_classes)
-                };
-                for v in range {
-                    let c = class_of[v];
-                    unsafe { *items_base.get().add(next[c]) = v };
-                    next[c] += 1;
-                }
-            });
-        }
-        WaveSchedule {
-            offsets,
-            items,
-            class_of: class_of.to_vec(),
-        }
-    }
-
-    /// Number of waves (= classes, including empty ones).
-    #[inline]
-    pub fn n_waves(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total items scheduled.
-    #[inline]
-    pub fn n_items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// The items of wave `w`, ascending by id.
-    #[inline]
-    pub fn wave(&self, w: usize) -> &[usize] {
-        &self.items[self.offsets[w]..self.offsets[w + 1]]
-    }
-
-    /// The wave that runs `item`.
-    #[inline]
-    pub fn wave_of(&self, item: usize) -> usize {
-        self.class_of[item]
-    }
-
-    /// Items in the fullest wave (0 when there are no items).
-    pub fn largest_wave(&self) -> usize {
-        (0..self.n_waves())
-            .map(|w| self.offsets[w + 1] - self.offsets[w])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The wave-boundary prefix (`n_waves + 1` entries).
-    #[inline]
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// All items, wave-major, ascending by id within a wave.
-    #[inline]
-    pub fn items(&self) -> &[usize] {
-        &self.items
-    }
-}
-
-/// What [`run_waves`] executed: how many non-empty waves were dispatched,
-/// the fullest wave's item count, and the total items run. A pure function
-/// of the schedule (never of thread count), so callers may surface it in
-/// reports that are compared across thread sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WaveStats {
-    /// Non-empty waves dispatched.
-    pub waves: usize,
-    /// Items in the fullest dispatched wave.
-    pub largest_wave: usize,
-    /// Total items executed across all waves.
-    pub items: usize,
-}
-
-impl WaveStats {
-    /// Folds another executor's stats into this one (waves and items add,
-    /// the largest wave takes the max) — for callers that dispatch one
-    /// [`run_waves`] per batch and report a single aggregate.
-    pub fn absorb(&mut self, other: WaveStats) {
-        self.waves += other.waves;
-        self.largest_wave = self.largest_wave.max(other.largest_wave);
-        self.items += other.items;
-    }
-}
-
-/// The wave executor: dispatches one wave (color class) at a time over the
-/// pool, with a full barrier between waves. `offsets`/`items` describe a
-/// class-indexed CSR (see [`WaveSchedule`], whose `offsets()`/`items()`
-/// feed this directly); within a wave, the items split into contiguous
-/// [`ShardPlan::even`] slices and `job(wave, base, slice)` runs once per
-/// slice, where `base` is the slice's absolute start index in `items`.
-/// Empty waves are skipped without a dispatch.
-///
-/// The contract mirrors the rest of the module: the job must be a pure
-/// kernel over its slice with **read-only** access to neighbor state and
-/// writes only to slots its own items own — wave disjointness (the caller's
-/// invariant, e.g. a proper coloring) is what makes those writes race-free
-/// without locks or atomics. With `threads <= 1` every wave runs inline on
-/// the calling thread in the same order, so results are bit-identical at
-/// any thread count.
-pub fn run_waves(
-    pool: Option<&WorkerPool>,
-    threads: usize,
-    offsets: &[usize],
-    items: &[usize],
-    job: &(dyn Fn(usize, usize, &[usize]) + Sync),
-) -> WaveStats {
-    let mut stats = WaveStats::default();
-    for w in 0..offsets.len() - 1 {
-        let (lo, hi) = (offsets[w], offsets[w + 1]);
-        if lo == hi {
-            continue;
-        }
-        let wave = &items[lo..hi];
-        stats.waves += 1;
-        stats.largest_wave = stats.largest_wave.max(wave.len());
-        stats.items += wave.len();
-        // The slice boundaries reproduce `ShardPlan::even` arithmetically
-        // (`s·len/shards`) instead of materializing a bounds Vec: a wave
-        // sweep over thousands of classes must not allocate per wave —
-        // that keeps warm scheduled passes heap-silent (asserted by the
-        // cluster crate's counting-allocator suite).
-        let len = wave.len();
-        let shards = threads.min(len);
-        if shards <= 1 {
-            job(w, lo, wave);
-        } else {
-            // `for_each_shard` blocks until every slice finished — that is
-            // the inter-wave barrier.
-            for_each_shard(pool, shards, &|s| {
-                let start = s * len / shards;
-                let end = (s + 1) * len / shards;
-                if start == end {
-                    return;
-                }
-                job(w, lo + start, &wave[start..end]);
-            });
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2151,98 +1921,5 @@ mod tests {
             "a retired pool must dispatch on scoped threads"
         );
         pool.shutdown(); // idempotent
-    }
-
-    /// The canonical wave order — by `(class, id)` — at several thread
-    /// counts, against a serial stable counting sort.
-    #[test]
-    fn wave_schedule_is_canonical_and_thread_invariant() {
-        let n = 257;
-        let n_classes = 7;
-        let class_of: Vec<usize> = (0..n).map(|v| (v * 31 + 5) % n_classes).collect();
-        let reference =
-            WaveSchedule::from_class_ids(&class_of, n_classes, &ParallelConfig::serial());
-        assert_eq!(reference.n_waves(), n_classes);
-        assert_eq!(reference.n_items(), n);
-        let mut seen = vec![false; n];
-        for w in 0..reference.n_waves() {
-            let wave = reference.wave(w);
-            assert!(
-                wave.windows(2).all(|p| p[0] < p[1]),
-                "wave {w} not ascending"
-            );
-            for &v in wave {
-                assert_eq!(class_of[v], w);
-                assert_eq!(reference.wave_of(v), w);
-                assert!(!seen[v], "item {v} scheduled twice");
-                seen[v] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every item is scheduled");
-        for threads in [2, 3, 8] {
-            let par = WaveSchedule::from_class_ids(
-                &class_of,
-                n_classes,
-                &ParallelConfig::with_threads(threads),
-            );
-            assert_eq!(par, reference, "threads={threads}");
-        }
-    }
-
-    /// `run_waves` runs every item exactly once, in wave order (the
-    /// barrier), with correct absolute base indices and stats.
-    #[test]
-    fn run_waves_covers_items_with_wave_barrier() {
-        let n = 101;
-        let n_classes = 5;
-        let class_of: Vec<usize> = (0..n).map(|v| v % n_classes).collect();
-        for threads in [1usize, 4] {
-            let ws = WaveSchedule::from_class_ids(&class_of, n_classes, &ParallelConfig::serial());
-            let pool = WorkerPool::global(threads);
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-            let wave_counter = AtomicUsize::new(0);
-            let stats = run_waves(
-                pool.as_deref(),
-                threads,
-                ws.offsets(),
-                ws.items(),
-                &|w, base, slice| {
-                    // The barrier means no later wave starts while an
-                    // earlier one runs: the global wave counter only ever
-                    // shows this wave or earlier ones mid-wave.
-                    assert!(wave_counter.load(Ordering::SeqCst) <= w);
-                    wave_counter.store(w, Ordering::SeqCst);
-                    for (i, &v) in slice.iter().enumerate() {
-                        assert_eq!(ws.items()[base + i], v);
-                        let prev = hits[v].swap(w, Ordering::SeqCst);
-                        assert_eq!(prev, usize::MAX, "item {v} ran twice");
-                    }
-                },
-            );
-            assert_eq!(stats.waves, n_classes);
-            assert_eq!(stats.items, n);
-            assert_eq!(stats.largest_wave, ws.largest_wave());
-            for (v, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::SeqCst), class_of[v], "item {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_waves_skips_empty_waves() {
-        // Classes 1 and 3 are empty.
-        let class_of = [0usize, 0, 2, 4, 4, 4];
-        let ws = WaveSchedule::from_class_ids(&class_of, 5, &ParallelConfig::serial());
-        let ran = Mutex::new(Vec::new());
-        let stats = run_waves(None, 1, ws.offsets(), ws.items(), &|w, _base, slice| {
-            lock_ignore_poison(&ran).push((w, slice.to_vec()));
-        });
-        assert_eq!(stats.waves, 3);
-        assert_eq!(stats.largest_wave, 3);
-        assert_eq!(stats.items, 6);
-        assert_eq!(
-            *lock_ignore_poison(&ran),
-            vec![(0, vec![0, 1]), (2, vec![2]), (4, vec![3, 4, 5])]
-        );
     }
 }

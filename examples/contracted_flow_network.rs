@@ -9,18 +9,10 @@
 //! like every other workload: the spec below reproduces this exact
 //! instance anywhere.
 //!
-//! Once colored, the coloring itself becomes a *scheduler*: its color
-//! classes are pairwise non-adjacent in the contracted graph, so the
-//! per-cluster state updates a flow phase runs between contractions
-//! (label relaxations below) execute class-by-class as conflict-free
-//! parallel waves — no locks, no atomics, bit-identical at any thread
-//! count.
-//!
 //! ```sh
 //! cargo run --release --example contracted_flow_network
 //! ```
 
-use cluster_coloring::cluster::par::SendPtr;
 use cluster_coloring::prelude::*;
 
 fn main() {
@@ -61,90 +53,4 @@ fn main() {
         "setup: generate {:.3}s, canonicalize {:.3}s, build {:.3}s (spec `{}`)",
         out.generate_secs, out.canonicalize_secs, out.graph_build_secs, out.spec_string
     );
-
-    // --- Coloring as a scheduler -----------------------------------
-    // A flow phase now needs per-cluster label relaxations over the
-    // contracted graph. Materialize the coloring we just computed into
-    // an execution schedule: class = wave, and the build *asserts* that
-    // no two clusters in a wave are adjacent.
-    let par = ParallelConfig::from_env();
-    let schedule = ColorSchedule::build(h, &out.run.coloring, &par);
-    assert!(schedule.verify_disjoint(h));
-    println!(
-        "schedule: {} classes ({} non-empty), largest wave {} of {} clusters",
-        schedule.n_classes(),
-        schedule.n_nonempty_classes(),
-        schedule.largest_class(),
-        h.n_vertices()
-    );
-
-    // At least 2 so the pooled path runs even on a single-core box.
-    let threads = available_threads().max(2);
-    let (serial_labels, serial_sweeps) = relax_to_fixpoint(h, &schedule, 1);
-    let (par_labels, par_sweeps) = relax_to_fixpoint(h, &schedule, threads);
-    assert_eq!(
-        (serial_labels, serial_sweeps),
-        (par_labels.clone(), par_sweeps),
-        "wave execution is bit-identical at any thread count"
-    );
-    let eccentricity = par_labels.iter().filter(|&&l| l != u32::MAX).max().unwrap();
-    println!(
-        "wave-parallel relaxation: fixpoint in {par_sweeps} sweeps, \
-         eccentricity {eccentricity} from cluster 0 ({threads} threads == serial)"
-    );
-}
-
-/// Relaxes hop-distance labels from cluster 0 to a fixpoint, sweeping
-/// the contracted graph wave-by-wave through the color schedule: within
-/// one wave no two updated clusters are adjacent, so every cluster reads
-/// frozen neighbor labels and writes a slot that is provably its own —
-/// shard-parallel with no locks or atomics. Returns the labels and the
-/// number of sweeps to quiescence (both independent of `threads`: the
-/// wave order is fixed and in-wave updates cannot observe each other).
-fn relax_to_fixpoint(
-    h: &ClusterGraph,
-    schedule: &ColorSchedule,
-    threads: usize,
-) -> (Vec<u32>, usize) {
-    let pool = WorkerPool::global(threads);
-    let n = h.n_vertices();
-    let mut labels = vec![u32::MAX; n];
-    labels[0] = 0;
-    let mut flags = vec![0u8; n];
-    let mut sweeps = 0usize;
-    loop {
-        flags.fill(0);
-        let lab = SendPtr::new(labels.as_mut_ptr());
-        let flg = SendPtr::new(flags.as_mut_ptr());
-        let waves = schedule.waves();
-        run_waves(
-            pool.as_deref(),
-            threads,
-            waves.offsets(),
-            waves.items(),
-            &|_wave, _base, slice| {
-                for &v in slice {
-                    // Safety: `v` appears in exactly one wave slice and
-                    // its neighbors are all outside this wave (the
-                    // schedule's asserted disjointness), so this is the
-                    // only write to `labels[v]`/`flags[v]` in flight and
-                    // the neighbor reads see pre-wave values.
-                    unsafe {
-                        let mut best = *lab.get().add(v);
-                        for &u in h.neighbors(v) {
-                            best = best.min((*lab.get().add(u)).saturating_add(1));
-                        }
-                        if best != *lab.get().add(v) {
-                            *lab.get().add(v) = best;
-                            *flg.get().add(v) = 1;
-                        }
-                    }
-                }
-            },
-        );
-        if flags.iter().all(|&f| f == 0) {
-            return (labels, sweeps);
-        }
-        sweeps += 1;
-    }
 }

@@ -71,12 +71,11 @@ pub use cgc_sketch as sketch;
 pub mod prelude {
     pub use cgc_baselines::{greedy_coloring, luby_coloring, naive_simulation_cost};
     pub use cgc_cluster::{
-        available_threads, run_waves, ClusterGraph, ClusterNet, ParallelConfig, VertexId,
-        WaveSchedule, WorkerPool,
+        available_threads, ClusterGraph, ClusterNet, ParallelConfig, VertexId, WorkerPool,
     };
     pub use cgc_core::{
-        color_cluster_graph, coloring_stats, ColorSchedule, Coloring, Params, ParamsProfile,
-        RunOutcome, RunResult, Session, SessionBuilder,
+        color_cluster_graph, coloring_stats, Coloring, Params, ParamsProfile, RunOutcome,
+        RunResult, Session, SessionBuilder,
     };
     pub use cgc_decomp::{acd_oracle, compute_acd, AcdParams};
     pub use cgc_graphs::{
